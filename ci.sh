@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI gate: build, tests, clippy, the simlint static pass (plus its JSON
-# artifact), the loom model-check job, and a Miri pass over the core
-# crates. Every step must pass; the script stops at the first failure.
+# artifact), the loom model-check job, a Miri pass over the core crates,
+# the bench artifacts and the benchmark's self-check. Every step must pass; the script stops at the first failure.
 #
 # Knobs:
 #   CI_SKIP_MIRI=1  skip the Miri step explicitly (it also auto-skips
@@ -31,10 +31,13 @@ mkdir -p target/ci
 cargo xtask lint --format json --baseline SIMLINT_BASELINE.json > target/ci/simlint-findings.json
 echo "simlint: artifact at target/ci/simlint-findings.json"
 
-echo "== loom model check: datatap channel pause/resume protocol =="
-# Swaps the channel's mutex/condvar for the loom stand-in (bounded seeded
-# preemption search — failures are real, passes are probabilistic).
+echo "== loom model check: datatap channel pause/resume protocol, stream engine gates =="
+# Swaps each transport's mutex/condvar for the loom stand-in (bounded seeded
+# preemption search — failures are real, passes are probabilistic). The
+# stream models print the interleavings they explored and fail if the
+# count drops.
 RUSTFLAGS="--cfg loom" cargo test -q -p datatap --test loom_channel
+RUSTFLAGS="--cfg loom" cargo test -q -p stream --test loom_gate -- --nocapture
 
 echo "== miri: sim-core + simpar + datatap + stream (undefined-behaviour pass) =="
 if [[ "${CI_SKIP_MIRI:-0}" == "1" ]]; then
@@ -71,6 +74,9 @@ cargo run --release -p bench --bin events -- --check BENCH_events.json
 
 echo "== bench-diff: events/sec vs the committed baseline (auto-skips when throttled) =="
 cargo xtask bench-diff
+
+echo "== benchmark: every workload runs small, correct, with every declared metric =="
+bash benchmark/run.sh --check
 
 echo "== quickstart example (headless) =="
 cargo run --release --example quickstart

@@ -300,6 +300,19 @@ mod tests {
     }
 
     #[test]
+    fn encoding_is_pinned_and_survives_a_round_trip() {
+        // Length and checksum of this blob as the `BTreeMap`-backed
+        // `StepData` encoded it: the archive format did not move when the
+        // maps became sorted vectors. `sample_step` inserts both its
+        // variables and its attributes out of name order.
+        let blob = encode("atoms", &sample_step());
+        assert_eq!(blob.len(), 180);
+        assert_eq!(checksum(&blob), 0x000a_246b_0000_1643);
+        let again = encode("atoms", &decode(blob.clone()).unwrap().data);
+        assert_eq!(again, blob, "decode then encode reproduces the bytes");
+    }
+
+    #[test]
     fn bad_magic_rejected() {
         let mut blob = encode("g", &StepData::new(0)).to_vec();
         blob[0] = b'X';

@@ -577,9 +577,12 @@ mod tests {
         }
         let w2 = w.clone();
         let pauser = thread::spawn(move || w2.pause());
-        // Drain from the reader side; pause must complete exactly when the
-        // queue empties.
-        thread::sleep(Duration::from_millis(20));
+        // Drain from the reader side, once the gate has engaged (the
+        // reported backlog is the one at that instant); pause must complete
+        // exactly when the queue empties.
+        while !w.is_paused() {
+            thread::yield_now();
+        }
         for _ in 0..3 {
             r.pull().unwrap();
         }

@@ -49,3 +49,9 @@ pub use clock::{Clock, ManualClock, WallClock};
 pub use cost::TransportCosts;
 pub use sched_reader::{PullGuard, PullSource, ScheduledReader};
 pub use scheduler::PullPolicy;
+
+/// The loom stand-in, under `--cfg loom` only: the stream engine puts its
+/// own sync seam over this re-export, so both transports are model-checked
+/// against the one set of primitives.
+#[cfg(loom)]
+pub use loom;

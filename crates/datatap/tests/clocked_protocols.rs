@@ -76,8 +76,12 @@ fn pause_after_clean_drain_still_succeeds_when_closed_late() {
     w.try_write(step(0)).unwrap();
     let w_pause = w.clone();
     let pauser = thread::spawn(move || w_pause.pause());
-    // Drain completes; the close arriving afterwards must not turn the
-    // already-successful drain into an abort.
+    // Pull once the gate has engaged (the reported backlog is the one at
+    // that instant). Drain completes; the close arriving afterwards must
+    // not turn the already-successful drain into an abort.
+    while !w.is_paused() {
+        thread::yield_now();
+    }
     let (m, _) = r.pull().unwrap();
     assert_eq!(m.step, 0);
     assert_eq!(pauser.join().unwrap(), Ok(1));

@@ -25,6 +25,14 @@
 //!   ([`datatap::PauseAborted`]): an abort by failure or close is an
 //!   error, never a success-shaped count, and the gate survives a racing
 //!   [`StepWriter::resume`] until the drain completes.
+//!
+//! Every operation *decides* under the log mutex and *acts* after
+//! releasing it (`Inner::finish`): which condvar to notify (and only if a
+//! waiter count says someone is parked on it), which announcements go to
+//! the control stone (queued in lock order, submitted by one thread at a
+//! time), which truncated steps to free. Waking a parked thread costs the
+//! waker tens of microseconds on a small VM; done under the mutex, that is
+//! time the other side spends queueing for the lock.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -33,9 +41,10 @@ use std::time::Duration;
 use adios::{AttrValue, StepData};
 use datatap::{Clock, PauseAborted, PullSource, StepMeta, WallClock};
 use evpath::{Event, OverlaySender, StoneId};
-use parking_lot::{Condvar, Mutex};
 use sim_core::SimDuration;
 use simtel::{Category, Telemetry};
+
+use crate::sync::{Condvar, Mutex, MutexGuard};
 
 /// Shape of a stream: the writer-group width and the log bounds.
 #[derive(Clone, Debug)]
@@ -229,6 +238,21 @@ struct LogState {
     closed: bool,
     failed: Option<&'static str>,
     sealed_total: u64,
+    /// Writers parked on `writer_cv` inside `write`. Pause drainers, the
+    /// other waiters on that condvar, are counted by `drainers`.
+    gate_parked: usize,
+    /// Readers parked on `reader_cv`.
+    readers_parked: usize,
+    /// What the operation holding the lock has decided so far;
+    /// [`Inner::finish`] carries it out once the lock is released.
+    wake_writers: bool,
+    wake_readers: bool,
+    /// Truncated steps, freed after the lock is released.
+    retired: Vec<Arc<GlobalStep>>,
+    /// Control announcements in lock order, and whether some thread is
+    /// already submitting them (it takes whatever is queued meanwhile).
+    outbox: VecDeque<StreamControl>,
+    announcing: bool,
 }
 
 impl LogState {
@@ -254,6 +278,12 @@ impl LogState {
         })
     }
 
+    /// True while an attached cursor advertises a window: its gate moves
+    /// with every step that cursor consumes.
+    fn windowed(&self) -> bool {
+        self.cursors.values().any(|c| c.handles > 0 && c.window.is_some())
+    }
+
     /// Sealed steps not yet consumed by the slowest attached cursor.
     fn backlog(&self) -> usize {
         let frontier = self.frontier();
@@ -277,10 +307,66 @@ struct Inner {
 }
 
 impl Inner {
-    fn announce(&self, msg: StreamControl) {
-        if let Some((sender, stone)) = &self.control {
-            sender.submit(*stone, Event::new(msg));
+    /// Queues `msg` for the control stone. The outbox order is the lock
+    /// order, so `Sealed` offsets reach the stone strictly increasing.
+    fn announce(&self, st: &mut LogState, msg: StreamControl) {
+        if self.control.is_some() {
+            st.outbox.push_back(msg);
         }
+    }
+
+    /// Ends an operation: releases the lock, then does what the operation
+    /// decided while holding it. A condvar is notified only if a thread is
+    /// parked on it. The outbox is drained by one thread at a time, so the
+    /// submission order is the queue order; an operation that finds another
+    /// thread draining leaves its announcements to that thread, which
+    /// submits them before its own operation returns.
+    fn finish(&self, mut st: MutexGuard<'_, LogState>) {
+        let wake_writers = std::mem::take(&mut st.wake_writers) && st.gate_parked + st.drainers > 0;
+        let wake_readers = std::mem::take(&mut st.wake_readers) && st.readers_parked > 0;
+        // A cursor advance retires at most one step, so the per-step path
+        // only pops; a retire or re-attach can release several at once.
+        let retired = st.retired.pop();
+        let more: Vec<_> = st.retired.drain(..).collect();
+        let mut next = if st.announcing { None } else { st.outbox.pop_front() };
+        st.announcing |= next.is_some();
+        drop(st);
+        if wake_readers {
+            self.reader_cv.notify_all();
+        }
+        if wake_writers {
+            self.writer_cv.notify_all();
+        }
+        drop((retired, more));
+        while let Some(msg) = next {
+            if let Some((sender, stone)) = &self.control {
+                sender.submit(*stone, Event::new(msg));
+            }
+            let mut st = self.state.lock();
+            next = st.outbox.pop_front();
+            st.announcing = next.is_some();
+        }
+    }
+
+    /// Parks a reader until a seal, close or failure wakes it, or for
+    /// `slice` when the pull has a deadline.
+    fn park_reader(&self, st: &mut MutexGuard<'_, LogState>, slice: Option<Duration>) {
+        // Park-safety rule. The low-water mark lets a gate-parked writer
+        // sleep through truncations, and this thread may be the only one
+        // serving the cursors that writer is waiting for: it must not go
+        // to sleep on a writer the gate would admit. The wait below
+        // releases the lock at once, so the woken writer does not queue.
+        if st.gate_parked > 0 && !st.write_gated() && !st.window_blocked(self.cfg.retention) {
+            self.writer_cv.notify_all();
+        }
+        st.readers_parked += 1;
+        match slice {
+            Some(slice) => {
+                self.reader_cv.wait_for(st, slice);
+            }
+            None => self.reader_cv.wait(st),
+        }
+        st.readers_parked -= 1;
     }
 
     fn gauge_retained(&self, st: &LogState) {
@@ -317,36 +403,50 @@ impl Inner {
             st.sealed_total += 1;
             self.telemetry.count(Category::Transport, "stream.sealed", 1);
             self.gauge_retained(st);
-            self.announce(StreamControl::Sealed { step, offset });
-            self.reader_cv.notify_all();
+            self.announce(st, StreamControl::Sealed { step, offset });
+            st.wake_readers = true;
         }
     }
 
-    /// Drops sealed steps every registered cursor has passed. With no
-    /// cursors registered nothing holds history, so the log truncates
-    /// freely (fire-and-forget mode).
-    fn truncate(&self, st: &mut LogState) {
-        let mut dropped = false;
-        while !st.sealed.is_empty() && st.cursors.values().all(|c| c.next > st.base) {
-            st.sealed.pop_front();
+    /// Retires sealed steps every registered cursor has passed, and says
+    /// whether there were any. With no cursors registered nothing holds
+    /// history, so the log truncates freely (fire-and-forget mode).
+    fn truncate(&self, st: &mut LogState) -> bool {
+        let before = st.base;
+        while st.cursors.values().all(|c| c.next > st.base) {
+            let Some(step) = st.sealed.pop_front() else { break };
+            st.retired.push(step);
             st.base += 1;
-            dropped = true;
         }
+        let dropped = st.base > before;
         if dropped {
             self.telemetry.count(Category::Transport, "stream.truncated", 1);
             self.gauge_retained(st);
-            self.writer_cv.notify_all();
+        }
+        dropped
+    }
+
+    /// A cursor moved past a step: truncates, then decides whether the
+    /// writer side is worth waking. Pause drainers watch the backlog,
+    /// which every advance moves, and a window gate moves with every step
+    /// its cursor consumes. A writer parked on the retention bound is
+    /// woken at the low-water mark, half the retention: it then refills
+    /// the log in one burst, where a wake per truncated step would have it
+    /// write one step and park again.
+    fn cursor_advanced(&self, st: &mut LogState) {
+        let low_water = self.truncate(st) && st.sealed.len() <= self.cfg.retention / 2;
+        if st.drainers > 0 || (st.gate_parked > 0 && (low_water || st.windowed())) {
+            st.wake_writers = true;
         }
     }
 
-    fn close(&self) {
-        let mut st = self.state.lock();
+    fn close(&self, st: &mut LogState) {
         if !st.closed {
             st.closed = true;
-            self.announce(StreamControl::Closed);
+            self.announce(st, StreamControl::Closed);
         }
-        self.writer_cv.notify_all();
-        self.reader_cv.notify_all();
+        st.wake_writers = true;
+        st.wake_readers = true;
     }
 }
 
@@ -388,6 +488,13 @@ impl StreamBuilder {
         assert!(self.cfg.writers >= 1, "writer group must have at least one rank");
         assert!(self.cfg.retention >= 1, "retention must hold at least one step");
         let writers = self.cfg.writers as usize;
+        // The recycled buffers are allocated here, once, not lazily by
+        // whichever thread truncates or announces first: a block that
+        // outlives everything else on that thread's heap keeps the
+        // allocator from returning the heap (DESIGN.md §14). More than 64
+        // steps retire at once only off the per-step path, which may grow it.
+        let retired = Vec::with_capacity(self.cfg.retention.min(64));
+        let outbox = VecDeque::with_capacity(if self.control.is_some() { 16 } else { 0 });
         StreamEngine {
             inner: Arc::new(Inner {
                 cfg: self.cfg,
@@ -403,6 +510,13 @@ impl StreamBuilder {
                     closed: false,
                     failed: None,
                     sealed_total: 0,
+                    gate_parked: 0,
+                    readers_parked: 0,
+                    wake_writers: false,
+                    wake_readers: false,
+                    retired,
+                    outbox,
+                    announcing: false,
                 }),
                 writer_cv: Condvar::new(),
                 reader_cv: Condvar::new(),
@@ -499,8 +613,8 @@ impl StreamEngine {
                 next
             }
         };
-        drop(st);
-        self.inner.announce(StreamControl::Attached { reader: name.clone(), at });
+        self.inner.announce(&mut st, StreamControl::Attached { reader: name.clone(), at });
+        self.inner.finish(st);
         Ok(StreamReader { inner: self.inner.clone(), name })
     }
 
@@ -508,7 +622,9 @@ impl StreamEngine {
     /// readers drain the retained log and then end, active pause drains
     /// abort with [`PauseAborted::Closed`].
     pub fn close(&self) {
-        self.inner.close();
+        let mut st = self.inner.state.lock();
+        self.inner.close(&mut st);
+        self.inner.finish(st);
     }
 
     /// Global steps sealed over the engine's lifetime.
@@ -546,16 +662,10 @@ impl Drop for StepWriter {
     fn drop(&mut self) {
         let mut st = self.inner.state.lock();
         st.writer_handles -= 1;
-        let last = st.writer_handles == 0 && !st.closed;
-        if last {
-            st.closed = true;
+        if st.writer_handles == 0 {
+            self.inner.close(&mut st);
         }
-        drop(st);
-        if last {
-            self.inner.announce(StreamControl::Closed);
-            self.inner.writer_cv.notify_all();
-            self.inner.reader_cv.notify_all();
-        }
+        self.inner.finish(st);
     }
 }
 
@@ -621,7 +731,9 @@ impl StepWriter {
         if st.window_blocked(self.inner.cfg.retention) {
             return Err(StreamWriteError::WindowFull);
         }
-        Ok(self.push(&mut st, data))
+        let meta = self.push(&mut st, data);
+        self.inner.finish(st);
+        Ok(meta)
     }
 
     /// As [`StepWriter::try_write`], but blocks while the pause gate is
@@ -632,9 +744,13 @@ impl StepWriter {
         loop {
             self.check(&st, data.step())?;
             if !st.write_gated() && !st.window_blocked(self.inner.cfg.retention) {
-                return Ok(self.push(&mut st, data));
+                let meta = self.push(&mut st, data);
+                self.inner.finish(st);
+                return Ok(meta);
             }
+            st.gate_parked += 1;
             self.inner.writer_cv.wait(&mut st);
+            st.gate_parked -= 1;
         }
     }
 
@@ -657,7 +773,12 @@ impl StepWriter {
         st.drainers += 1;
         let draining = st.backlog();
         self.inner.telemetry.count(Category::Transport, "stream.pauses", 1);
-        self.inner.announce(StreamControl::Paused);
+        self.inner.announce(&mut st, StreamControl::Paused);
+        // `Paused` goes out before the drain, not after it. The gate holds
+        // across the gap (`drainers` is counted), and the loop re-reads
+        // whatever a racing resume, close or fail did meanwhile.
+        self.inner.finish(st);
+        let mut st = self.inner.state.lock();
         let outcome = loop {
             // Failure first: fail() clears the log, so an empty backlog on
             // a failed engine means steps were discarded, not drained.
@@ -679,8 +800,9 @@ impl StepWriter {
         }
         if st.drainers == 0 && !st.paused {
             // A resume landed mid-drain: the gate opens only now.
-            self.inner.writer_cv.notify_all();
+            st.wake_writers = true;
         }
+        self.inner.finish(st);
         outcome
     }
 
@@ -690,9 +812,9 @@ impl StepWriter {
     pub fn resume(&self) {
         let mut st = self.inner.state.lock();
         st.paused = false;
-        drop(st);
-        self.inner.announce(StreamControl::Resumed);
-        self.inner.writer_cv.notify_all();
+        self.inner.announce(&mut st, StreamControl::Resumed);
+        st.wake_writers = true;
+        self.inner.finish(st);
     }
 
     /// True while writes are rejected: explicitly paused, or quiescing
@@ -712,13 +834,14 @@ impl StepWriter {
         }
         st.failed = Some(reason);
         let lost = st.sealed.len() + st.staging.len();
-        st.sealed.clear();
+        let LogState { sealed, retired, .. } = &mut *st;
+        retired.extend(sealed.drain(..));
         st.staging.clear();
         self.inner.telemetry.count(Category::Transport, "stream.failed_steps", lost as u64);
-        drop(st);
-        self.inner.announce(StreamControl::Failed { reason });
-        self.inner.writer_cv.notify_all();
-        self.inner.reader_cv.notify_all();
+        self.inner.announce(&mut st, StreamControl::Failed { reason });
+        st.wake_writers = true;
+        st.wake_readers = true;
+        self.inner.finish(st);
         lost
     }
 }
@@ -758,12 +881,12 @@ impl Drop for StreamReader {
             return;
         }
         let at = cursor.next;
-        drop(st);
         // The cursor stays registered at `at`: the retention gate keeps
         // holding its steps, and window gating stops (a detached reader
         // cannot pull, so its window must not wedge the writers).
-        self.inner.announce(StreamControl::Detached { reader: self.name.clone(), at });
-        self.inner.writer_cv.notify_all();
+        self.inner.announce(&mut st, StreamControl::Detached { reader: self.name.clone(), at });
+        st.wake_writers = true;
+        self.inner.finish(st);
     }
 }
 
@@ -803,9 +926,9 @@ impl StreamReader {
         let mut st = self.inner.state.lock();
         st.cursors.remove(&self.name);
         self.inner.truncate(&mut st);
-        drop(st);
-        self.inner.announce(StreamControl::Retired { reader: self.name.clone() });
-        self.inner.writer_cv.notify_all();
+        self.inner.announce(&mut st, StreamControl::Retired { reader: self.name.clone() });
+        st.wake_writers = true;
+        self.inner.finish(st);
         // Drop now runs against an unregistered cursor and is a no-op.
     }
 
@@ -836,8 +959,7 @@ impl StreamReader {
         }
         self.inner.telemetry.count(Category::Transport, "stream.delivered", 1);
         if advanced {
-            self.inner.truncate(st);
-            self.inner.writer_cv.notify_all();
+            self.inner.cursor_advanced(st);
         }
         Some((meta, frag))
     }
@@ -863,8 +985,7 @@ impl StreamReader {
         self.inner
             .telemetry
             .count(Category::Transport, "stream.delivered", global.fragments.len() as u64);
-        self.inner.truncate(st);
-        self.inner.writer_cv.notify_all();
+        self.inner.cursor_advanced(st);
         Some(global)
     }
 
@@ -880,83 +1001,69 @@ impl StreamReader {
         }
     }
 
-    /// Pulls the next fragment (step-major, rank-minor order), blocking
-    /// until one seals. `None` once the engine is closed and this cursor
-    /// has consumed everything, or on failure.
-    pub fn pull(&self) -> Option<(StepMeta, StepData)> {
+    /// Takes at the cursor with `take`, parking until something seals
+    /// there, the cursor is finished, or `timeout` (one deadline on the
+    /// engine's [`Clock`] for the whole wait) passes.
+    fn take_blocking<T>(
+        &self,
+        timeout: Option<Duration>,
+        take: impl Fn(&Self, &mut LogState) -> Option<T>,
+    ) -> Option<T> {
+        let deadline = timeout.map(|t| self.inner.clock.now() + to_sim(t));
         let mut st = self.inner.state.lock();
         loop {
-            if let Some(out) = self.take_fragment(&mut st) {
+            if let Some(out) = take(self, &mut st) {
+                self.inner.finish(st);
                 return Some(out);
             }
             if self.finished(&st) {
                 return None;
             }
-            self.inner.reader_cv.wait(&mut st);
+            let slice = match deadline {
+                None => None,
+                Some(deadline) => {
+                    let now = self.inner.clock.now();
+                    if now >= deadline {
+                        return None;
+                    }
+                    Some(self.inner.clock.block_slice(deadline.since(now)))
+                }
+            };
+            self.inner.park_reader(&mut st, slice);
         }
+    }
+
+    /// Pulls the next fragment (step-major, rank-minor order), blocking
+    /// until one seals. `None` once the engine is closed and this cursor
+    /// has consumed everything, or on failure.
+    pub fn pull(&self) -> Option<(StepMeta, StepData)> {
+        self.take_blocking(None, Self::take_fragment)
     }
 
     /// As [`StreamReader::pull`] with a deadline on the engine's
     /// [`Clock`]; `None` on timeout too.
     pub fn pull_timeout(&self, timeout: Duration) -> Option<(StepMeta, StepData)> {
-        let deadline = self.inner.clock.now() + to_sim(timeout);
-        let mut st = self.inner.state.lock();
-        loop {
-            if let Some(out) = self.take_fragment(&mut st) {
-                return Some(out);
-            }
-            if self.finished(&st) {
-                return None;
-            }
-            let now = self.inner.clock.now();
-            if now >= deadline {
-                return None;
-            }
-            let slice = self.inner.clock.block_slice(deadline.since(now));
-            self.inner.reader_cv.wait_for(&mut st, slice);
-        }
+        self.take_blocking(Some(timeout), Self::take_fragment)
     }
 
     /// Pulls the next whole sealed step, blocking until one seals. `None`
     /// once the engine is closed and drained, or on failure.
     pub fn next_step(&self) -> Option<Arc<GlobalStep>> {
-        let mut st = self.inner.state.lock();
-        loop {
-            if let Some(step) = self.take_step(&mut st) {
-                return Some(step);
-            }
-            if self.finished(&st) {
-                return None;
-            }
-            self.inner.reader_cv.wait(&mut st);
-        }
+        self.take_blocking(None, Self::take_step)
     }
 
     /// As [`StreamReader::next_step`] with a deadline on the engine's
     /// [`Clock`].
     pub fn next_step_timeout(&self, timeout: Duration) -> Option<Arc<GlobalStep>> {
-        let deadline = self.inner.clock.now() + to_sim(timeout);
-        let mut st = self.inner.state.lock();
-        loop {
-            if let Some(step) = self.take_step(&mut st) {
-                return Some(step);
-            }
-            if self.finished(&st) {
-                return None;
-            }
-            let now = self.inner.clock.now();
-            if now >= deadline {
-                return None;
-            }
-            let slice = self.inner.clock.block_slice(deadline.since(now));
-            self.inner.reader_cv.wait_for(&mut st, slice);
-        }
+        self.take_blocking(Some(timeout), Self::take_step)
     }
 
     /// Attempts to take the next whole sealed step without blocking.
     pub fn try_next_step(&self) -> Option<Arc<GlobalStep>> {
         let mut st = self.inner.state.lock();
-        self.take_step(&mut st)
+        let step = self.take_step(&mut st);
+        self.inner.finish(st);
+        step
     }
 }
 
@@ -1201,6 +1308,11 @@ mod tests {
         }
         let w2 = w.clone();
         let pauser = std::thread::spawn(move || w2.pause());
+        // The reported backlog is the one at the instant the gate engages:
+        // pull only once it has, or a fast reader drains first.
+        while !w.is_paused() {
+            std::thread::yield_now();
+        }
         for _ in 0..3 {
             assert!(r.next_step().is_some());
         }
@@ -1209,6 +1321,105 @@ mod tests {
         assert_eq!(w.try_write(frag(9, 0)).unwrap_err(), StreamWriteError::Paused);
         w.resume();
         w.try_write(frag(9, 0)).unwrap();
+    }
+
+    /// Runs `body` on its own thread and fails the test, instead of
+    /// hanging it, if a lost wake-up leaves `body` parked.
+    fn within_10s(body: impl FnOnce() + Send + 'static) {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            body();
+            let _ = done_tx.send(());
+        });
+        match done_rx.recv_timeout(Duration::from_secs(10)) {
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => panic!("a thread stayed parked"),
+            // Done, or `body` panicked and dropped the sender: join reports which.
+            _ => runner.join().unwrap(),
+        }
+    }
+
+    fn wait_for_parked_writer(eng: &StreamEngine) {
+        while eng.inner.state.lock().gate_parked == 0 {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn a_writer_parked_at_the_bound_is_woken_at_the_low_water_mark() {
+        within_10s(|| {
+            let eng = engine(1, 4);
+            let w = eng.writer(0);
+            let r = eng.reader("sink", Attach::Oldest, None).unwrap();
+            for step in 0..4 {
+                w.try_write(frag(step, 0)).unwrap();
+            }
+            let w2 = w.clone();
+            let writer = std::thread::spawn(move || w2.write(frag(4, 0)).map(|m| m.step));
+            wait_for_parked_writer(&eng);
+            // Three retained is above the mark (4 / 2): the gate would admit
+            // the write, but nobody wakes the writer for a single slot.
+            assert_eq!(r.try_next_step().unwrap().index, 0);
+            assert_eq!((eng.retained(), eng.sealed_steps()), (3, 4));
+            assert_eq!(eng.inner.state.lock().gate_parked, 1);
+            // Two retained is the mark.
+            assert_eq!(r.try_next_step().unwrap().index, 1);
+            assert_eq!(writer.join().unwrap(), Ok(4));
+        });
+    }
+
+    #[test]
+    fn a_reader_parking_while_the_gate_admits_wakes_the_parked_writer() {
+        within_10s(|| {
+            let eng = engine(1, 8);
+            let w = eng.writer(0);
+            let fast = eng.reader("fast", Attach::Oldest, None).unwrap();
+            let slow = eng.reader("slow", Attach::Oldest, None).unwrap();
+            for step in 0..8 {
+                w.try_write(frag(step, 0)).unwrap();
+            }
+            let w2 = w.clone();
+            let writer = std::thread::spawn(move || w2.write(frag(8, 0)).map(|m| m.step));
+            wait_for_parked_writer(&eng);
+            // This thread serves both cursors. It truncates two steps, which
+            // leaves six, above the low-water mark: the writer sleeps on.
+            for step in 0..2 {
+                assert_eq!(slow.try_next_step().unwrap().index, step);
+                assert_eq!(fast.try_next_step().unwrap().index, step);
+            }
+            assert_eq!((eng.retained(), eng.sealed_steps()), (6, 8));
+            while fast.try_next_step().is_some() {}
+            // Parking on the faster cursor would now sleep on a writer that
+            // only this thread's other cursor could ever wake. The park
+            // wakes it instead, and its seal wakes this pull.
+            assert_eq!(fast.next_step().unwrap().index, 8);
+            assert_eq!(writer.join().unwrap(), Ok(8));
+        });
+    }
+
+    #[test]
+    fn pause_drains_past_a_detached_cursor_that_pins_the_log() {
+        within_10s(|| {
+            let eng = engine(1, 8);
+            let w = eng.writer(0);
+            let live = eng.reader("live", Attach::Oldest, None).unwrap();
+            drop(eng.reader("restarting", Attach::Oldest, None).unwrap());
+            for step in 0..3 {
+                w.try_write(frag(step, 0)).unwrap();
+            }
+            let w2 = w.clone();
+            let pauser = std::thread::spawn(move || w2.pause());
+            while !w.is_paused() {
+                std::thread::yield_now();
+            }
+            // The detached cursor holds offset 0, so these advances truncate
+            // nothing; the drain counts attached cursors only and must hear
+            // of every one of them.
+            for _ in 0..3 {
+                assert!(live.next_step().is_some());
+            }
+            assert_eq!(pauser.join().unwrap(), Ok(3));
+            assert_eq!(eng.retained(), 3);
+        });
     }
 
     #[test]

@@ -27,6 +27,7 @@
 
 mod engine;
 mod source;
+mod sync;
 
 pub use engine::{
     Attach, AttachError, GlobalStep, StepWriter, StreamBuilder, StreamConfig, StreamControl,
