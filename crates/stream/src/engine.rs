@@ -41,10 +41,18 @@ use std::time::Duration;
 use adios::{AttrValue, StepData};
 use datatap::{Clock, PauseAborted, PullSource, StepMeta, WallClock};
 use evpath::{Event, OverlaySender, StoneId};
-use sim_core::SimDuration;
+use sim_core::{SimDuration, SimTime};
 use simtel::{Category, Telemetry};
 
 use crate::sync::{Condvar, Mutex, MutexGuard};
+
+/// A consumer that takes this long to free one slot is slow next to what a
+/// wake-up costs (10-20 us for the waker): a wake per step is then under
+/// half a percent of a core, and the low-water mark has nothing to batch.
+/// The step cadences this engine carries sit well to either side: tens of
+/// microseconds to a millisecond between streaming ranks and an encoder,
+/// tens of milliseconds into an analysis kernel.
+const SLOW_CONSUMER: SimDuration = SimDuration::from_millis(5);
 
 /// Shape of a stream: the writer-group width and the log bounds.
 #[derive(Clone, Debug)]
@@ -241,6 +249,10 @@ struct LogState {
     /// Writers parked on `writer_cv` inside `write`. Pause drainers, the
     /// other waiters on that condvar, are counted by `drainers`.
     gate_parked: usize,
+    /// When the first of them parked, or the last truncation above the
+    /// low-water mark that they slept through: the start of the wait for
+    /// the next slot (see [`Inner::refill_due`]).
+    gate_since: SimTime,
     /// Readers parked on `reader_cv`.
     readers_parked: usize,
     /// What the operation holding the lock has decided so far;
@@ -430,14 +442,30 @@ impl Inner {
     /// writer side is worth waking. Pause drainers watch the backlog,
     /// which every advance moves, and a window gate moves with every step
     /// its cursor consumes. A writer parked on the retention bound is
-    /// woken at the low-water mark, half the retention: it then refills
-    /// the log in one burst, where a wake per truncated step would have it
-    /// write one step and park again.
+    /// woken by a truncation that [`Inner::refill_due`] accepts.
     fn cursor_advanced(&self, st: &mut LogState) {
-        let low_water = self.truncate(st) && st.sealed.len() <= self.cfg.retention / 2;
-        if st.drainers > 0 || (st.gate_parked > 0 && (low_water || st.windowed())) {
+        let truncated = self.truncate(st);
+        let parked = st.gate_parked > 0;
+        if st.drainers > 0 || (parked && (st.windowed() || (truncated && self.refill_due(st)))) {
             st.wake_writers = true;
         }
+    }
+
+    /// Whether a truncation should wake the writers parked on the
+    /// retention bound. At the low-water mark, half the retention, always:
+    /// the writer refills the log in one burst, where a wake per truncated
+    /// step would have it write one step and park again. Above the mark
+    /// only when the consumer is slow, that is when this slot took
+    /// [`SLOW_CONSUMER`] to come free: there is no burst to wait for then,
+    /// and holding the writer back would double its wait for nothing.
+    fn refill_due(&self, st: &mut LogState) -> bool {
+        if st.sealed.len() <= self.cfg.retention / 2 {
+            return true;
+        }
+        let now = self.clock.now();
+        let waited = now.saturating_since(st.gate_since);
+        st.gate_since = now;
+        waited >= SLOW_CONSUMER
     }
 
     fn close(&self, st: &mut LogState) {
@@ -511,6 +539,7 @@ impl StreamBuilder {
                     failed: None,
                     sealed_total: 0,
                     gate_parked: 0,
+                    gate_since: SimTime::ZERO,
                     readers_parked: 0,
                     wake_writers: false,
                     wake_readers: false,
@@ -747,6 +776,9 @@ impl StepWriter {
                 let meta = self.push(&mut st, data);
                 self.inner.finish(st);
                 return Ok(meta);
+            }
+            if st.gate_parked == 0 {
+                st.gate_since = self.inner.clock.now();
             }
             st.gate_parked += 1;
             self.inner.writer_cv.wait(&mut st);
@@ -1096,7 +1128,6 @@ fn to_sim(d: Duration) -> SimDuration {
 mod tests {
     use super::*;
     use datatap::ManualClock;
-    use sim_core::SimTime;
 
     fn frag(step: u64, rank: u32) -> StepData {
         let mut s = StepData::new(step);
@@ -1364,6 +1395,37 @@ mod tests {
             // Two retained is the mark.
             assert_eq!(r.try_next_step().unwrap().index, 1);
             assert_eq!(writer.join().unwrap(), Ok(4));
+        });
+    }
+
+    #[test]
+    fn a_slow_consumer_wakes_the_parked_writer_for_every_slot() {
+        within_10s(|| {
+            let clock = Arc::new(ManualClock::new());
+            let eng = StreamEngine::builder(StreamConfig { writers: 1, retention: 8 })
+                .clock(clock.clone())
+                .build();
+            let w = eng.writer(0);
+            let r = eng.reader("kernel", Attach::Oldest, None).unwrap();
+            for step in 0..8 {
+                w.try_write(frag(step, 0)).unwrap();
+            }
+            let w2 = w.clone();
+            let writer = std::thread::spawn(move || w2.write(frag(8, 0)).map(|m| m.step));
+            wait_for_parked_writer(&eng);
+            // A slot that comes free sooner than SLOW_CONSUMER after the
+            // park is one of a burst: the writer sleeps on, and the wait
+            // for the next slot starts here.
+            clock.advance(SimDuration::from_millis(4));
+            assert_eq!(r.try_next_step().unwrap().index, 0);
+            assert_eq!((eng.retained(), eng.sealed_steps()), (7, 8));
+            assert_eq!(eng.inner.state.lock().gate_parked, 1);
+            // The next one took the consumer 5 ms. Seven retained is far
+            // above the mark (8 / 2), and the writer is woken all the same.
+            clock.advance(SLOW_CONSUMER);
+            assert_eq!(r.try_next_step().unwrap().index, 1);
+            assert_eq!(writer.join().unwrap(), Ok(8));
+            assert_eq!(eng.retained(), 7);
         });
     }
 

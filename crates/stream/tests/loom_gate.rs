@@ -24,7 +24,17 @@ use std::sync::Arc;
 
 use adios::StepData;
 use datatap::loom::{self, thread};
+use datatap::ManualClock;
 use stream::{Attach, StreamConfig, StreamEngine};
+
+/// An engine whose clock stands still: no consumer ever looks slow, so a
+/// writer parked above the low-water mark is woken by the mark or by the
+/// park-safety rule alone, the case these models are about.
+fn engine(retention: usize) -> StreamEngine {
+    StreamEngine::builder(StreamConfig { writers: 1, retention })
+        .clock(Arc::new(ManualClock::new()))
+        .build()
+}
 
 /// Runs `body` under `loom::model` and reports the interleavings explored.
 fn explore(name: &str, body: impl Fn() + Send + Sync + 'static) {
@@ -43,7 +53,7 @@ fn explore(name: &str, body: impl Fn() + Send + Sync + 'static) {
 fn a_gate_parked_writer_always_hears_the_truncation() {
     explore("writer parked at retention 1-2", || {
         for retention in [1, 2] {
-            let eng = StreamEngine::new(StreamConfig { writers: 1, retention });
+            let eng = engine(retention);
             let w = eng.writer(0);
             let r = eng.reader("sink", Attach::Oldest, None).expect("fresh cursor");
             let writer = thread::spawn(move || {
@@ -63,7 +73,7 @@ fn a_gate_parked_writer_always_hears_the_truncation() {
 #[test]
 fn parking_on_the_faster_cursor_wakes_the_parked_writer() {
     explore("one thread, two cursors, retention 3", || {
-        let eng = StreamEngine::new(StreamConfig { writers: 1, retention: 3 });
+        let eng = engine(3);
         let w = eng.writer(0);
         let fast = eng.reader("fast", Attach::Oldest, None).expect("fresh cursor");
         let slow = eng.reader("slow", Attach::Oldest, None).expect("fresh cursor");
@@ -93,7 +103,7 @@ fn parking_on_the_faster_cursor_wakes_the_parked_writer() {
 #[test]
 fn a_pause_drain_survives_a_racing_seal_and_resume() {
     explore("pause drain vs seal and resume", || {
-        let eng = StreamEngine::new(StreamConfig { writers: 1, retention: 4 });
+        let eng = engine(4);
         let w = eng.writer(0);
         let r = eng.reader("sink", Attach::Oldest, None).expect("fresh cursor");
         w.try_write(StepData::new(0)).expect("retention 4 holds 1 step");

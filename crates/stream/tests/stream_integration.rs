@@ -51,9 +51,12 @@ fn three_writers_two_readers_see_identical_sequences() {
     let viz_thread = consume(viz);
     let analytics_thread = consume(analytics);
 
+    // Every rank holds its handle before any rank writes: fragments stage
+    // without blocking, so a rank could otherwise finish and drop the only
+    // live handle, which closes the engine under the ranks not yet created.
+    let handles: Vec<_> = (0..3u32).map(|rank| (rank, eng.writer(rank))).collect();
     let mut writers = Vec::new();
-    for rank in 0..3u32 {
-        let w = eng.writer(rank);
+    for (rank, w) in handles {
         writers.push(thread::spawn(move || {
             for step in 0..steps {
                 // MD-style non-contiguous step indices, written under the

@@ -9,6 +9,7 @@ use std::thread;
 use std::time::Duration;
 
 use adios::{AttrValue, StepData};
+use datatap::ManualClock;
 use evpath::{Action, Overlay};
 use stream::{Attach, StreamConfig, StreamControl, StreamEngine};
 
@@ -124,12 +125,16 @@ fn announcements_reach_the_stone_in_lock_order() {
 /// fragment-wise and `restart`, which it keeps dropping and resuming — so
 /// it parks on one cursor while the writers wait for the other. Every
 /// cursor must see every offset exactly once, and nobody may stay parked.
+/// The clock stands still, so no reader ever looks slow and only the mark
+/// and the park-safety rule wake a gate-parked writer.
 #[test]
 fn no_wake_up_is_lost_at_any_retention() {
     const STEPS: u64 = 20_000;
     for retention in [1usize, 2, 3, 8] {
         within(Duration::from_secs(120), move || {
-            let eng = StreamEngine::new(StreamConfig { writers: RANKS, retention });
+            let eng = StreamEngine::builder(StreamConfig { writers: RANKS, retention })
+                .clock(Arc::new(ManualClock::new()))
+                .build();
             let viz = eng.reader("viz", Attach::Oldest, None).unwrap();
             let tail = eng.reader("tail", Attach::Oldest, None).unwrap();
             let restart = eng.reader("restart", Attach::Oldest, None).unwrap();
