@@ -3,17 +3,13 @@
 //! ```text
 //! cargo run -p bench --release --bin figures -- all
 //! cargo run -p bench --release --bin figures -- fig7
+//! cargo run -p bench --release --bin figures -- ablations
 //! cargo run -p bench --release --bin figures -- trace   # Perfetto + CSV
-//! cargo run -p bench --release --bin figures -- kernels --threads 4
 //! ```
-//!
-//! The `kernels` job times the simpar-parallel analytics kernels; its
-//! thread sweep comes from `--threads N` (or a comma list), falling back
-//! to the `SIMPAR_THREADS` environment variable, then to `1,2,4`.
 
 use bench::{
-    fig10, fig4, fig5, fig6, fig7, fig8, fig9, sweep_cadence, sweep_staging, table1, table2,
-    Table,
+    ablations, fig10, fig4, fig5, fig6, fig7, fig8, fig9, sweep_cadence, sweep_staging, table1,
+    table2, Table,
 };
 
 type Job = (&'static str, fn() -> Table);
@@ -36,27 +32,6 @@ fn main() {
         return;
     }
 
-    // The kernels job takes a thread sweep, so it dispatches by hand too.
-    if what == "kernels" {
-        let spec = args
-            .iter()
-            .position(|a| a == "--threads")
-            .and_then(|ix| args.get(ix + 1).cloned())
-            .or_else(|| std::env::var("SIMPAR_THREADS").ok())
-            .unwrap_or_else(|| "1,2,4".into());
-        let threads: Vec<usize> = spec
-            .split(',')
-            .map(|t| t.trim().parse::<usize>())
-            .collect::<Result<_, _>>()
-            .unwrap_or_else(|e| {
-                eprintln!("bad --threads {spec:?}: {e}");
-                std::process::exit(2);
-            });
-        let rows = bench::baseline::kernel_baseline(6, &threads, 5);
-        println!("{}", bench::baseline::kernel_table(&rows).render());
-        return;
-    }
-
     let jobs: Vec<Job> = vec![
         ("table1", table1 as fn() -> Table),
         ("table2", table2),
@@ -69,6 +44,7 @@ fn main() {
         ("fig10", fig10),
         ("sweep_staging", sweep_staging as fn() -> Table),
         ("sweep_cadence", sweep_cadence),
+        ("ablations", ablations),
     ];
 
     let selected: Vec<&Job> = if what == "all" {
@@ -79,7 +55,7 @@ fn main() {
 
     if selected.is_empty() {
         eprintln!(
-            "unknown figure '{what}'; expected one of: all trace kernels {}",
+            "unknown figure '{what}'; expected one of: all trace {}",
             jobs.iter().map(|(n, _)| *n).collect::<Vec<_>>().join(" ")
         );
         std::process::exit(2);

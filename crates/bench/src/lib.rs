@@ -1,19 +1,20 @@
-//! Shared harness code for the figure generators and Criterion benches.
+//! Generators for the paper's tables and figures.
 //!
-//! Each public `*_rows` function computes the data behind one table or
-//! figure of the paper and returns it as printable rows, so the `figures`
-//! binary, the Criterion benches, and the integration tests all consume
-//! the same implementation.
+//! Each public function computes the data behind one table or figure of
+//! the paper (or one of this repo's sweeps and ablations) and returns it
+//! as a printable [`Table`]; the `figures` binary prints them. Every value
+//! is a deterministic outcome of the simulation, not a wall-clock
+//! measurement — performance is measured in `benchmark/` (see
+//! `BENCHMARK.json`).
 
-pub mod baseline;
-pub mod events;
+use std::rc::Rc;
 
 use d2t::{run_transaction, BroadcastShape, FaultPlan, TxnConfig};
 use datatap::TransportCosts;
-use iocontainers::protocol::{run_decrease, run_increase, ProtocolLayout};
-use iocontainers::{run_pipeline, Action, ExperimentConfig, PipelineRun};
-use sim_core::{Sim, SimDuration};
-use simnet::{LaunchModel, Network, NetworkConfig, NodeId};
+use iocontainers::protocol::{estimate, run_decrease, run_increase, ProtocolLayout};
+use iocontainers::{run_pipeline, Action, ExperimentConfig, MonitorConfig, PipelineRun};
+use sim_core::{shared, Shared, Sim, SimDuration, SimTime};
+use simnet::{LaunchModel, Net, Network, NetworkConfig, NodeId};
 
 /// A labeled table: header plus rows of cells.
 #[derive(Clone, Debug)]
@@ -437,6 +438,216 @@ pub fn sweep_cadence() -> Table {
     }
 }
 
+/// One 256-node output step, and the staging link's bandwidth.
+const STEP_BYTES: u64 = 67_000_000;
+const STAGING_BW: u64 = 1_600_000_000;
+
+/// Total simulated time of an application that computes for `compute`
+/// and then outputs one step, `steps` times. Synchronous staging blocks
+/// it for every transfer; asynchronous staging buffers the step and
+/// overlaps the transfer with the next compute phase.
+fn app_run(sync: bool, steps: u32, compute: SimDuration) -> SimDuration {
+    struct App {
+        net: Net,
+        sync: bool,
+        compute: SimDuration,
+        finished: Shared<SimTime>,
+    }
+    const APP: NodeId = NodeId(0);
+    const STAGE: NodeId = NodeId(1);
+
+    fn do_step(sim: &mut Sim, app: Rc<App>, remaining: u32) {
+        if remaining == 0 {
+            *app.finished.borrow_mut() = sim.now();
+            return;
+        }
+        sim.schedule_in(app.compute, move |sim| {
+            let net = app.net.clone();
+            if app.sync {
+                Network::transfer(&net, sim, APP, STAGE, STEP_BYTES, move |sim| {
+                    do_step(sim, app, remaining - 1)
+                });
+            } else {
+                Network::transfer(&net, sim, APP, STAGE, STEP_BYTES, |_| {});
+                do_step(sim, app, remaining - 1);
+            }
+        });
+    }
+
+    let mut sim = Sim::new(1);
+    let finished = shared(SimTime::ZERO);
+    let app = App {
+        net: Network::new(NetworkConfig::portals_xt4()),
+        sync,
+        compute,
+        finished: finished.clone(),
+    };
+    do_step(&mut sim, Rc::new(app), steps);
+    sim.run();
+    let t = *finished.borrow();
+    t.since(SimTime::ZERO)
+}
+
+/// (synchronous, asynchronous) application time for 50 output steps.
+/// One transfer takes ≈ 42 ms at 1.6 GB/s; compute is of the same order,
+/// the regime where the paper's "up to 2×" applies.
+fn staging_times() -> (SimDuration, SimDuration) {
+    let compute = SimDuration::from_millis(45);
+    (app_run(true, 50, compute), app_run(false, 50, compute))
+}
+
+/// Latency of a monitoring control message that reaches a staging node
+/// 1 ms into a burst of eight bulk pulls. Greedy: every announced step is
+/// pulled at once. Server-directed: one pull outstanding at a time.
+fn control_latency_during_pulls(greedy: bool) -> SimDuration {
+    const READER: NodeId = NodeId(0);
+    const BULK: u32 = 8;
+
+    fn pull_chain(sim: &mut Sim, net: &Net, next: u32) {
+        if next > BULK {
+            return;
+        }
+        let net2 = net.clone();
+        Network::rdma_get(net, sim, READER, NodeId(next), STEP_BYTES, move |sim| {
+            pull_chain(sim, &net2, next + 1)
+        });
+    }
+
+    let mut sim = Sim::new(2);
+    let net = Network::new(NetworkConfig::portals_xt4());
+    if greedy {
+        for writer in 1..=BULK {
+            Network::rdma_get(&net, &mut sim, READER, NodeId(writer), STEP_BYTES, |_| {});
+        }
+    } else {
+        pull_chain(&mut sim, &net, 1);
+    }
+
+    let sent = SimTime::ZERO + SimDuration::from_millis(1);
+    let delivered = shared(SimTime::ZERO);
+    let slot = delivered.clone();
+    sim.schedule_at(sent, move |sim| {
+        Network::send_control(&net, sim, NodeId(99), READER, move |sim| {
+            *slot.borrow_mut() = sim.now();
+        });
+    });
+    sim.run();
+    let at = *delivered.borrow();
+    at.since(sent)
+}
+
+/// Decrease of 4 of 16 replicas behind 8 writers that each hold
+/// `queued_per_writer` buffered bytes: the strongly consistent protocol
+/// drains them during the writer pause, a lazy decrease (0 bytes) would
+/// not wait — and would put those steps at risk.
+fn decrease_total(queued_per_writer: u64) -> SimDuration {
+    let mut sim = Sim::new(3);
+    let net = Network::new(NetworkConfig::portals_xt4());
+    let layout = ProtocolLayout::microbench(8, 16);
+    let victims: Vec<NodeId> = layout.replicas[..4].to_vec();
+    let costs = TransportCosts::default();
+    run_decrease(&mut sim, &net, &layout, &victims, &costs, queued_per_writer, STAGING_BW).total
+}
+
+/// Growing a 4-replica container by `k`: (round-robin replica growth,
+/// MPI-style growth). Replica growth is the increase protocol alone
+/// (EVPath-style runtimes launch replicas without `aprun`); an MPI
+/// component must tear down all `4 + k` ranks and relaunch through
+/// `aprun` on top of it.
+fn growth_times(k: u32) -> (SimDuration, SimDuration) {
+    let costs = TransportCosts::default();
+    let mut sim = Sim::new(7);
+    let net = Network::new(NetworkConfig::portals_xt4());
+    let layout = ProtocolLayout::microbench(8, 4);
+    let new: Vec<NodeId> = (1000..1000 + k).map(NodeId).collect();
+    let rr = run_increase(&mut sim, &net, &layout, &new, &costs, LaunchModel::Instant).total;
+    let teardown =
+        estimate::decrease(8, 4 + k, &costs, SimDuration::from_micros(10), 0, STAGING_BW);
+    let relaunch = LaunchModel::Aprun.sample(&mut Sim::new(7));
+    (rr, rr + teardown + relaunch)
+}
+
+/// Mean Bonds latency over 20 steps of the Fig. 7 scenario when every
+/// monitoring sample costs the container a pathological 1 s and one is
+/// taken every `report_every` steps.
+fn bonds_mean_latency(report_every: u64) -> f64 {
+    let mut cfg = ExperimentConfig::fig7();
+    cfg.monitoring = MonitorConfig {
+        report_every,
+        per_sample_cost: SimDuration::from_secs(1),
+        delivery_delay: SimDuration::from_micros(20),
+    };
+    cfg.steps = 20;
+    let run = run_pipeline(cfg);
+    let id = run
+        .log
+        .containers()
+        .find(|&id| run.log.name_of(id) == "Bonds")
+        .expect("the Fig. 7 pipeline has a Bonds container");
+    let points = run.log.latency_series(id).expect("Bonds reports latency").points();
+    points.iter().map(|&(_, v)| v).sum::<f64>() / points.len() as f64
+}
+
+/// Ablations of the design choices DESIGN.md calls out: asynchronous vs.
+/// synchronous data movement, scheduled vs. greedy pulls, writer pause
+/// (strong consistency) vs. lazy decrease, round-robin replica growth vs.
+/// MPI-style relaunch, and monitoring frequency vs. perturbation.
+pub fn ablations() -> Table {
+    let secs = |d: SimDuration| format!("{:.3} s", d.as_secs_f64());
+    let millis = |d: SimDuration| format!("{} ms", ms(d));
+    let row = |what: &str, base: String, alt: String, ratio: f64| {
+        let ratio = if ratio < 100.0 { format!("{ratio:.2}x") } else { format!("{ratio:.0}x") };
+        vec![what.to_string(), base, alt, ratio]
+    };
+
+    let (sync_t, async_t) = staging_times();
+    let greedy = control_latency_during_pulls(true);
+    let scheduled = control_latency_during_pulls(false);
+    let strong = decrease_total(STEP_BYTES / 8);
+    let lazy = decrease_total(0);
+    let mut rows = vec![
+        row(
+            "sync vs async staging (50 steps of 67 MB)",
+            secs(sync_t),
+            secs(async_t),
+            sync_t / async_t,
+        ),
+        row(
+            "greedy vs scheduled pulls (control latency, 8-step burst)",
+            millis(greedy),
+            millis(scheduled),
+            greedy / scheduled,
+        ),
+        row(
+            "writer pause vs lazy decrease (one buffered step)",
+            millis(strong),
+            millis(lazy),
+            strong / lazy,
+        ),
+    ];
+    for k in [1, 4, 16] {
+        let (rr, mpi) = growth_times(k);
+        rows.push(row(
+            &format!("MPI relaunch vs replica growth (grow by {k})"),
+            secs(mpi),
+            millis(rr),
+            mpi / rr,
+        ));
+    }
+    let (every_step, every_8th) = (bonds_mean_latency(1), bonds_mean_latency(8));
+    rows.push(row(
+        "monitor every step vs every 8th (Bonds mean latency, 1 s probe)",
+        format!("{every_step:.2} s"),
+        format!("{every_8th:.2} s"),
+        every_step / every_8th,
+    ));
+    Table {
+        title: "Ablations: the design choices behind the container runtime".into(),
+        header: vec!["ablation".into(), "baseline".into(), "alternative".into(), "ratio".into()],
+        rows,
+    }
+}
+
 /// Runs the Fig. 7 scenario with telemetry fully on and renders the trace
 /// artifacts: a Perfetto/Chrome-trace JSON and the gauge time series as
 /// CSV. The `figures trace` job writes these to `target/traces/`.
@@ -513,6 +724,49 @@ mod tests {
     fn fig10_contains_offline_action() {
         let t = fig10();
         assert!(t.rows.iter().any(|r| r[1].contains("offline")), "no offline action in fig10");
+    }
+
+    #[test]
+    fn ablations_render_every_experiment() {
+        let t = ablations();
+        assert_eq!(t.rows.len(), 7, "3 pairwise ablations, 3 growth sizes, monitoring");
+        assert!(t.rows.iter().all(|r| r.len() == t.header.len()));
+    }
+
+    // The ratios EXPERIMENTS.md quotes, pinned.
+
+    #[test]
+    fn async_staging_approaches_the_papers_2x() {
+        let (sync_t, async_t) = staging_times();
+        let speedup = sync_t / async_t;
+        assert!((speedup - 1.93).abs() < 0.005, "async speedup {speedup:.3}");
+    }
+
+    #[test]
+    fn scheduled_pulls_bound_control_plane_perturbation() {
+        let greedy = control_latency_during_pulls(true).as_secs_f64() * 1e3;
+        let scheduled = control_latency_during_pulls(false).as_secs_f64() * 1e3;
+        assert_eq!((greedy.round(), scheduled.round()), (334.0, 41.0));
+    }
+
+    #[test]
+    fn writer_pause_is_the_dominant_decrease_cost() {
+        let ratio = decrease_total(STEP_BYTES / 8) / decrease_total(0);
+        assert_eq!(ratio.round(), 23.0, "pause cost ratio {ratio:.2}");
+    }
+
+    #[test]
+    fn relaunch_based_growth_dwarfs_replica_growth() {
+        for k in [1, 4, 16] {
+            let (rr, mpi) = growth_times(k);
+            assert!(mpi > rr * 100, "grow by {k}: relaunch {mpi} vs replicas {rr}");
+        }
+    }
+
+    #[test]
+    fn heavy_monitoring_perturbs_the_bottleneck() {
+        let (every_step, every_8th) = (bonds_mean_latency(1), bonds_mean_latency(8));
+        assert!(every_step > every_8th, "{every_step:.2} s vs {every_8th:.2} s");
     }
 
     #[test]

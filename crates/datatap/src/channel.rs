@@ -20,6 +20,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use adios::StepData;
+use sim_core::SimTime;
 use simtel::{Category, Telemetry};
 
 use crate::clock::{to_sim, Clock, WallClock};
@@ -403,24 +404,51 @@ impl Reader {
         self.inner.state.lock().queue.front().map(|e| e.meta)
     }
 
+    /// Pops the next buffered step, if any, and wakes whoever waits for
+    /// queue space (blocked writers, pause drains).
+    fn pop(&self, st: &mut State) -> Option<(StepMeta, StepData)> {
+        let env = st.queue.pop_front()?;
+        self.inner.telemetry.count(Category::Transport, "datatap.pulled", 1);
+        self.inner.gauge_queued(st.queue.len());
+        self.inner.writer_cv.notify_all();
+        Some((env.meta, env.payload))
+    }
+
+    /// The one blocking pull: waits for a step until the channel fails or
+    /// closes, or until `deadline` on the channel's [`Clock`] passes (the
+    /// clock is only read when there is a deadline).
+    fn take(&self, deadline: Option<SimTime>) -> Result<(StepMeta, StepData), PullError> {
+        let mut st = self.inner.state.lock();
+        loop {
+            if let Some(step) = self.pop(&mut st) {
+                return Ok(step);
+            }
+            if let Some(reason) = st.failed {
+                return Err(PullError::Failed(reason));
+            }
+            if st.closed {
+                return Err(PullError::Closed);
+            }
+            match deadline {
+                None => self.inner.reader_cv.wait(&mut st),
+                Some(deadline) => {
+                    let now = self.inner.clock.now();
+                    if now >= deadline {
+                        return Err(PullError::TimedOut);
+                    }
+                    let slice = self.inner.clock.block_slice(deadline.since(now));
+                    self.inner.reader_cv.wait_for(&mut st, slice);
+                }
+            }
+        }
+    }
+
     /// Pulls the next step, blocking until one is available. Returns `None`
     /// once the channel is closed and drained, or once it has failed (use
     /// [`Reader::pull_checked`] to distinguish — a failed pull surfaces as
     /// a typed [`PullError::Failed`] rather than a silent hang).
     pub fn pull(&self) -> Option<(StepMeta, StepData)> {
-        let mut st = self.inner.state.lock();
-        loop {
-            if let Some(env) = st.queue.pop_front() {
-                self.inner.telemetry.count(Category::Transport, "datatap.pulled", 1);
-                self.inner.gauge_queued(st.queue.len());
-                self.inner.writer_cv.notify_all();
-                return Some((env.meta, env.payload));
-            }
-            if st.closed || st.failed.is_some() {
-                return None;
-            }
-            self.inner.reader_cv.wait(&mut st);
-        }
+        self.take(None).ok()
     }
 
     /// Pulls the next step with a typed outcome: `Ok` with the step,
@@ -432,28 +460,7 @@ impl Reader {
         &self,
         timeout: Duration,
     ) -> Result<(StepMeta, StepData), PullError> {
-        let deadline = self.inner.clock.now() + to_sim(timeout);
-        let mut st = self.inner.state.lock();
-        loop {
-            if let Some(env) = st.queue.pop_front() {
-                self.inner.telemetry.count(Category::Transport, "datatap.pulled", 1);
-                self.inner.gauge_queued(st.queue.len());
-                self.inner.writer_cv.notify_all();
-                return Ok((env.meta, env.payload));
-            }
-            if let Some(reason) = st.failed {
-                return Err(PullError::Failed(reason));
-            }
-            if st.closed {
-                return Err(PullError::Closed);
-            }
-            let now = self.inner.clock.now();
-            if now >= deadline {
-                return Err(PullError::TimedOut);
-            }
-            let slice = self.inner.clock.block_slice(deadline.since(now));
-            self.inner.reader_cv.wait_for(&mut st, slice);
-        }
+        self.take(Some(self.inner.clock.now() + to_sim(timeout)))
     }
 
     /// Pulls with a timeout; `None` on timeout or closed-and-drained.
@@ -462,35 +469,12 @@ impl Reader {
     /// manual clock the timeout only expires when virtual time is advanced
     /// past it.
     pub fn pull_timeout(&self, timeout: Duration) -> Option<(StepMeta, StepData)> {
-        let deadline = self.inner.clock.now() + to_sim(timeout);
-        let mut st = self.inner.state.lock();
-        loop {
-            if let Some(env) = st.queue.pop_front() {
-                self.inner.telemetry.count(Category::Transport, "datatap.pulled", 1);
-                self.inner.gauge_queued(st.queue.len());
-                self.inner.writer_cv.notify_all();
-                return Some((env.meta, env.payload));
-            }
-            if st.closed || st.failed.is_some() {
-                return None;
-            }
-            let now = self.inner.clock.now();
-            if now >= deadline {
-                return None;
-            }
-            let slice = self.inner.clock.block_slice(deadline.since(now));
-            self.inner.reader_cv.wait_for(&mut st, slice);
-        }
+        self.pull_checked(timeout).ok()
     }
 
     /// Attempts a pull without blocking.
     pub fn try_pull(&self) -> Option<(StepMeta, StepData)> {
-        let mut st = self.inner.state.lock();
-        let env = st.queue.pop_front()?;
-        self.inner.telemetry.count(Category::Transport, "datatap.pulled", 1);
-        self.inner.gauge_queued(st.queue.len());
-        self.inner.writer_cv.notify_all();
-        Some((env.meta, env.payload))
+        self.pop(&mut self.inner.state.lock())
     }
 
     /// Steps currently buffered (announced but not yet pulled).

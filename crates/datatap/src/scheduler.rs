@@ -3,7 +3,7 @@
 //! DataStager's "server-directed" I/O lets the staging side decide *when*
 //! to pull announced data, instead of writers pushing greedily. The policy
 //! choice trades interconnect contention against end-to-end latency; the
-//! `ablation_scheduling` bench compares them.
+//! scheduled-vs-greedy row of `figures -- ablations` compares them.
 
 /// When the reader side issues pulls for announced steps.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -8,8 +8,10 @@
 //! [`crate::codec`]); per-stage latency flows to a global-manager EVPath
 //! overlay; and a manager thread implements the round-robin *increase*
 //! operation for Bonds when its staging queue backs up. The CSym → CNA
-//! dynamic branch fires from the data itself: CSym detecting the crack
-//! retires and the router redirects subsequent steps to CNA.
+//! dynamic branch fires from the data itself: one analysis consumer owns
+//! the single routed queue behind Bonds and runs CSym on each step until
+//! CSym detects the crack, then CNA on every step after it — so no step
+//! can be left behind in a retired stage's queue.
 //!
 //! The Helper → Bonds edge rides the step-streaming engine
 //! ([`stream::StreamEngine`]) rather than a raw staged channel: Helper is
@@ -172,12 +174,10 @@ pub struct ThreadedReport {
 }
 
 struct Shared {
-    crack: AtomicBool,
-    crack_step: AtomicU64,
+    crack_step: Mutex<Option<u64>>,
     bonds_done: AtomicU64,
     bonds_offline: AtomicBool,
     offline_written: AtomicU64,
-    router_done: AtomicBool,
     latency: [Mutex<Welford>; 4],
     actions: Mutex<Vec<ThreadedAction>>,
     last_fcc: Mutex<Option<f64>>,
@@ -196,12 +196,10 @@ fn observe(shared: &Shared, monitor: &evpath::OverlaySender, sink: evpath::Stone
 pub fn run_threaded(cfg: ThreadedConfig) -> ThreadedReport {
     assert!(cfg.initial_bonds_workers >= 1 && cfg.ranks >= 1 && cfg.steps >= 1);
     let shared = Arc::new(Shared {
-        crack: AtomicBool::new(false),
-        crack_step: AtomicU64::new(0),
+        crack_step: Mutex::new(None),
         bonds_done: AtomicU64::new(0),
         bonds_offline: AtomicBool::new(false),
         offline_written: AtomicU64::new(0),
-        router_done: AtomicBool::new(false),
         latency: [
             Mutex::new(Welford::new()),
             Mutex::new(Welford::new()),
@@ -234,8 +232,6 @@ pub fn run_threaded(cfg: ThreadedConfig) -> ThreadedReport {
         .reader("bonds", Attach::Oldest, None)
         .expect("fresh engine has no cursor named 'bonds'");
     let (w_routed, r_routed) = channel(cfg.queue_capacity);
-    let (w_csym, r_csym) = channel(cfg.queue_capacity);
-    let (w_cna, r_cna) = channel(cfg.queue_capacity);
     let retire_tokens = Arc::new(AtomicU64::new(0));
 
     let offline_path: Arc<Mutex<Option<std::path::PathBuf>>> = Arc::new(Mutex::new(None));
@@ -368,91 +364,44 @@ pub fn run_threaded(cfg: ThreadedConfig) -> ThreadedReport {
             worker_count.fetch_add(1, Ordering::Relaxed);
         }
 
-        // --- Router: implements the dynamic branch. ----------------------
+        // --- Analysis: CSym until it detects the break, CNA after it. -----
         {
+            let cfg = cfg.clone();
             let shared = shared.clone();
+            let monitor = monitor.clone();
             scope.spawn(move || {
-                let mut routed = 0u64;
-                while routed + shared.offline_written.load(Ordering::Acquire) < steps {
+                // Every step Bonds completes arrives here; the rest go to
+                // the offline drainer.
+                let mut pulled = 0u64;
+                let mut cracked = false;
+                while pulled + shared.offline_written.load(Ordering::Acquire) < steps {
                     let Some((_, step)) = r_routed.pull_timeout(Duration::from_millis(20))
                     else {
                         continue;
                     };
-                    let target =
-                        if shared.crack.load(Ordering::Acquire) { &w_cna } else { &w_csym };
-                    if target.write(step).is_err() {
-                        break;
-                    }
-                    routed += 1;
-                }
-                shared.router_done.store(true, Ordering::Release);
-            });
-        }
-
-        // --- CSym: detector; retires on break. ---------------------------
-        {
-            let cfg = cfg.clone();
-            let shared = shared.clone();
-            let monitor = monitor.clone();
-            scope.spawn(move || {
-                loop {
-                    let Some((_, step)) = r_csym.pull_timeout(Duration::from_millis(20))
-                    else {
-                        if shared.router_done.load(Ordering::Acquire)
-                            || shared.crack.load(Ordering::Acquire)
-                        {
-                            break;
-                        }
-                        continue;
-                    };
+                    pulled += 1;
                     let t0 = Instant::now();
                     let Some(bonds) = codec::step_to_bonds(&step) else { continue };
-                    let out = cfg.csym.compute(&bonds);
-                    observe(
-                        &shared,
-                        &monitor,
-                        sink,
-                        StageSample { stage: 2, step: out.step, latency: t0.elapsed() },
-                    );
-                    if out.break_detected {
-                        // Dynamic branch: record, notify, retire.
-                        shared.crack_step.store(out.step, Ordering::Release);
-                        shared.crack.store(true, Ordering::Release);
-                        shared
-                            .actions
-                            .lock()
-                            .unwrap()
-                            .push(ThreadedAction::Branch { at_step: out.step });
-                        break;
-                    }
-                }
-            });
-        }
-
-        // --- CNA: structural labeling after the branch. -------------------
-        {
-            let cfg = cfg.clone();
-            let shared = shared.clone();
-            let monitor = monitor.clone();
-            scope.spawn(move || {
-                loop {
-                    let Some((_, step)) = r_cna.pull_timeout(Duration::from_millis(20))
-                    else {
-                        if shared.router_done.load(Ordering::Acquire) {
-                            break;
+                    let sample =
+                        |stage, step| StageSample { stage, step, latency: t0.elapsed() };
+                    if cracked {
+                        let out = cfg.cna.compute(&bonds);
+                        *shared.last_fcc.lock().unwrap() = Some(out.fcc_fraction);
+                        observe(&shared, &monitor, sink, sample(3, out.step));
+                    } else {
+                        let out = cfg.csym.compute(&bonds);
+                        observe(&shared, &monitor, sink, sample(2, out.step));
+                        if out.break_detected {
+                            // Dynamic branch: CSym retires, CNA takes over.
+                            cracked = true;
+                            *shared.crack_step.lock().unwrap() = Some(out.step);
+                            shared
+                                .actions
+                                .lock()
+                                .unwrap()
+                                .push(ThreadedAction::Branch { at_step: out.step });
                         }
-                        continue;
-                    };
-                    let t0 = Instant::now();
-                    let Some(bonds) = codec::step_to_bonds(&step) else { continue };
-                    let out = cfg.cna.compute(&bonds);
-                    *shared.last_fcc.lock().unwrap() = Some(out.fcc_fraction);
-                    observe(
-                        &shared,
-                        &monitor,
-                        sink,
-                        StageSample { stage: 3, step: out.step, latency: t0.elapsed() },
-                    );
+                    }
                 }
             });
         }
@@ -637,10 +586,7 @@ pub fn run_threaded(cfg: ThreadedConfig) -> ThreadedReport {
     ];
     let final_offline_path = offline_path.lock().unwrap().take();
     let mean_latency_s = [mean(0), mean(1), mean(2), mean(3)];
-    let crack_detected_at = shared
-        .crack
-        .load(Ordering::Acquire)
-        .then(|| shared.crack_step.load(Ordering::Acquire));
+    let crack_detected_at = *shared.crack_step.lock().unwrap();
     let last_fcc_fraction = *shared.last_fcc.lock().unwrap();
     let actions = std::mem::take(&mut *shared.actions.lock().unwrap());
     let mut errors = std::mem::take(&mut *shared.errors.lock().unwrap());
@@ -682,17 +628,25 @@ mod tests {
         assert!(report.monitor_events >= 12);
     }
 
-    #[test]
-    fn fracture_run_branches_to_cna() {
-        let md = MdConfig {
+    /// Yields at 15 MD steps; at 5 MD steps per output the crack opens
+    /// around output step 3.
+    fn fracture_md() -> MdConfig {
+        MdConfig {
             temperature: 0.02,
             strain_per_step: 0.002,
             yield_strain: 0.03,
             ..MdConfig::default()
+        }
+    }
+
+    #[test]
+    fn fracture_run_branches_to_cna() {
+        let cfg = ThreadedConfig {
+            md: fracture_md(),
+            steps: 8,
+            manage: false,
+            ..ThreadedConfig::default()
         };
-        // Yield at 15 MD steps; 5 MD steps per output => crack around
-        // output step 3.
-        let cfg = ThreadedConfig { md, steps: 8, manage: false, ..ThreadedConfig::default() };
         let report = run_threaded(cfg);
         let crack = report.crack_detected_at.expect("crack must be detected");
         assert!((2..=5).contains(&crack), "crack at step {crack}");
@@ -704,6 +658,58 @@ mod tests {
         // CNA labels the cracked crystal: fcc fraction below 1.
         let fcc = report.last_fcc_fraction.expect("cna ran");
         assert!(fcc < 1.0 && fcc > 0.3, "fcc fraction {fcc}");
+    }
+
+    /// Step conservation across the dynamic branch: whatever Bonds
+    /// completes is analysed by exactly one of CSym and CNA, at every
+    /// queue depth, and the run ends (a watchdog fails it otherwise). A
+    /// fast producer in front of a pool of slow Bonds replicas delivers
+    /// steps to the analysis in bursts — the regime where a step could
+    /// once be stranded behind the branch.
+    #[test]
+    fn branch_conserves_steps() {
+        const STEPS: u64 = 8;
+        for queue_capacity in [1, 2, 4] {
+            for seed in [1, 2, 3] {
+                for manage in [false, true] {
+                    let base = fracture_md();
+                    let md = MdConfig {
+                        seed,
+                        // One MD step per output; yields at mid-run.
+                        strain_per_step: base.yield_strain / (STEPS / 2) as f64,
+                        ..base
+                    };
+                    let cfg = ThreadedConfig {
+                        md,
+                        steps: STEPS,
+                        md_steps_per_epoch: 1,
+                        queue_capacity,
+                        bonds_use_n2: true,
+                        initial_bonds_workers: 4,
+                        manage,
+                        ..ThreadedConfig::default()
+                    };
+                    let case = format!("capacity {queue_capacity}, seed {seed}, manage {manage}");
+                    let (done_tx, done_rx) = std::sync::mpsc::channel();
+                    std::thread::spawn(move || {
+                        // The receiver is gone only if the watchdog fired.
+                        let _ = done_tx.send(run_threaded(cfg));
+                    });
+                    let report = done_rx
+                        .recv_timeout(Duration::from_secs(60))
+                        .unwrap_or_else(|e| panic!("{case}: run did not finish: {e}"));
+                    assert_eq!(report.stage_steps[1], STEPS, "{case}: bonds steps");
+                    assert_eq!(
+                        report.stage_steps[2] + report.stage_steps[3],
+                        STEPS,
+                        "{case}: csym + cna must analyse every step: {:?}",
+                        report.stage_steps
+                    );
+                    assert!(report.crack_detected_at.is_some(), "{case}: no crack");
+                    assert!(report.errors.is_empty(), "{case}: {:?}", report.errors);
+                }
+            }
+        }
     }
 
     #[test]

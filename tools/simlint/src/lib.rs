@@ -237,10 +237,6 @@ pub fn ruleset_for(rel: &Path) -> Option<RuleSet> {
     if !in_scope {
         return None; // vendor stubs, tools, benches, integration tests
     }
-    // The bench crate measures wall-clock by design.
-    if p.starts_with("crates/bench/") {
-        return None;
-    }
     let mut rs = RuleSet::sim_default();
     // datatap is the threaded two-phase transport: its tests exercise real
     // writer/reader threads, and its timeout path owns an injected clock.
@@ -874,7 +870,6 @@ mod tests {
     fn vendor_and_tools_are_out_of_scope() {
         assert!(ruleset_for(Path::new("vendor/rand/src/lib.rs")).is_none());
         assert!(ruleset_for(Path::new("tools/simlint/src/lib.rs")).is_none());
-        assert!(ruleset_for(Path::new("crates/bench/benches/transport.rs")).is_none());
         assert!(ruleset_for(Path::new("crates/sim-core/src/kernel.rs")).is_some());
     }
 

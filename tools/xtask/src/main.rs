@@ -18,14 +18,6 @@
 //!   (`tests/public_api_baseline.txt`), so accidental API breaks fail CI.
 //!   * `--write-baseline` records the current surface as the new baseline
 //!     after a deliberate API change.
-//! * `bench-diff` — re-measure the event-kernel workloads and compare
-//!   against the committed `BENCH_events.json`; exits nonzero if any cell
-//!   lost more than the tolerance of its events/sec. The tolerance comes
-//!   from the `BENCH_EVENTS_TOLERANCE` environment variable (default
-//!   0.45), and the diff auto-skips on a throttled/preempted machine (the
-//!   emitter's steadiness calibration). Delegates to
-//!   `cargo run -p bench --release --bin events -- --diff` — like
-//!   `invariance`, xtask itself never links the sim stack.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -182,44 +174,6 @@ fn lint(args: &[String]) -> ExitCode {
     ExitCode::FAILURE
 }
 
-fn bench_diff(args: &[String]) -> ExitCode {
-    let artifact = match args {
-        [] => "BENCH_events.json".to_string(),
-        [path] => path.clone(),
-        _ => {
-            eprintln!("usage: cargo xtask bench-diff [ARTIFACT]");
-            return ExitCode::from(2);
-        }
-    };
-    // Release build: the committed numbers were measured in release, so a
-    // debug re-measurement would always look like a huge regression. The
-    // tolerance (and the unsteady-environment auto-skip) live in the
-    // emitter itself — `BENCH_EVENTS_TOLERANCE` overrides the default.
-    // Best-of-5 per cell: the committed baseline is a best-of-many peak,
-    // so the gate-side measurement needs enough attempts to reach the
-    // machine's fast state and not trip the tolerance on scheduler noise.
-    let status = std::process::Command::new(env!("CARGO"))
-        .args(["run", "-q", "-p", "bench", "--release", "--bin", "events", "--"])
-        .args(["--reps", "5", "--diff"])
-        .arg(&artifact)
-        .current_dir(workspace_root())
-        .status();
-    match status {
-        Ok(s) if s.success() => ExitCode::SUCCESS,
-        Ok(_) => {
-            eprintln!(
-                "bench-diff: events/sec regressed beyond tolerance vs {artifact} \
-                 (set BENCH_EVENTS_TOLERANCE or regenerate the artifact if intended)"
-            );
-            ExitCode::FAILURE
-        }
-        Err(e) => {
-            eprintln!("xtask bench-diff: cannot run cargo: {e}");
-            ExitCode::from(2)
-        }
-    }
-}
-
 fn invariance() -> ExitCode {
     // Delegate to the in-crate checker tests: xtask deliberately does NOT
     // link the sim stack, so `cargo xtask lint` still works when the code
@@ -362,10 +316,9 @@ fn main() -> ExitCode {
         Some("lint") => lint(&args[1..]),
         Some("invariance") => invariance(),
         Some("api") => api(&args[1..]),
-        Some("bench-diff") => bench_diff(&args[1..]),
         _ => {
             eprintln!(
-                "usage: cargo xtask <lint [--format json] [--stats] [--baseline FILE | --write-baseline FILE] | invariance | api [--write-baseline] | bench-diff [ARTIFACT]>"
+                "usage: cargo xtask <lint [--format json] [--stats] [--baseline FILE | --write-baseline FILE] | invariance | api [--write-baseline]>"
             );
             ExitCode::from(2)
         }
