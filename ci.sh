@@ -33,13 +33,13 @@ mkdir -p target/ci
 cargo xtask lint --format json --baseline SIMLINT_BASELINE.json > target/ci/simlint-findings.json
 echo "simlint: artifact at target/ci/simlint-findings.json"
 
-echo "== loom model check: datatap channel pause/resume protocol, stream engine gates =="
-# Swaps each transport's mutex/condvar for the loom stand-in (bounded seeded
-# preemption search — failures are real, passes are probabilistic). The
-# stream models print the interleavings they explored and fail if the
-# count drops.
-RUSTFLAGS="--cfg loom" cargo test -q -p datatap --test loom_channel
-RUSTFLAGS="--cfg loom" cargo test -q -p stream --test loom_gate -- --nocapture
+echo "== loom model check: the one gate, under the staged channel and the stream engine =="
+# Swaps the gate's mutex/condvar (datatap::gate, the only seam) for the loom
+# stand-in: bounded seeded preemption search — failures are real, passes
+# are probabilistic. Every model file of both crates runs, one model at a
+# time (the stand-in's schedule seed is process-wide); each model prints the
+# interleavings it explored and fails if the count drops.
+RUSTFLAGS="--cfg loom" cargo test -q -p datatap -p stream --test 'loom_*' -- --nocapture --test-threads=1
 
 echo "== miri: sim-core + simpar + datatap + stream (undefined-behaviour pass) =="
 if [[ "${CI_SKIP_MIRI:-0}" == "1" ]]; then

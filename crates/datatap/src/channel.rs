@@ -14,6 +14,12 @@
 //! [`Writer::pause`] stops new announcements and blocks until every
 //! announced step has been pulled, so no time step can be lost while the
 //! downstream container is being resized.
+//!
+//! The channel owns its FIFO, the high-water mark, `peek_meta` and the
+//! `datatap.*` telemetry. The protocol around them — admission order,
+//! parking, pause/drain, close/fail, the deadline of a timed pull, who is
+//! woken and when — is [`crate::gate`]'s, shared with the stream engine
+//! (DESIGN.md, "One gate").
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -23,8 +29,9 @@ use adios::StepData;
 use sim_core::SimTime;
 use simtel::{Category, Telemetry};
 
-use crate::clock::{to_sim, Clock, WallClock};
-use crate::sync::{Condvar, Mutex};
+use crate::clock::{Clock, WallClock};
+use crate::gate::{Gate, Gated};
+use crate::sched_reader::PullSource;
 
 /// Metadata announcing one buffered output step. Three plain words —
 /// `Copy`, so the per-message paths hand it around without cloning.
@@ -124,38 +131,15 @@ impl std::fmt::Display for PauseAborted {
 
 impl std::error::Error for PauseAborted {}
 
-struct Envelope {
-    meta: StepMeta,
-    payload: StepData,
-}
-
-struct State {
-    queue: VecDeque<Envelope>,
+/// The channel's own state under the gate: the FIFO and its bound.
+struct Fifo {
+    queue: VecDeque<(StepMeta, StepData)>,
     capacity: usize,
-    paused: bool,
-    /// Active [`Writer::pause`] drains. The write gate is held while this
-    /// is non-zero even if a concurrent [`Writer::resume`] cleared
-    /// `paused`: otherwise a resumed writer could refill the queue and
-    /// stall the pauser indefinitely.
-    drainers: usize,
-    closed: bool,
-    failed: Option<&'static str>,
     high_watermark: usize,
 }
 
-impl State {
-    /// True while writes must not be accepted: an explicit pause, or a
-    /// pause drain still in progress (which outlives a racing resume).
-    fn write_gated(&self) -> bool {
-        self.paused || self.drainers > 0
-    }
-}
-
 struct Inner {
-    state: Mutex<State>,
-    writer_cv: Condvar,
-    reader_cv: Condvar,
-    clock: Arc<dyn Clock>,
+    gate: Gate<Fifo>,
     telemetry: Telemetry,
 }
 
@@ -163,12 +147,16 @@ impl Inner {
     /// Records a queue-depth sample under [`Category::Transport`].
     fn gauge_queued(&self, queued: usize) {
         if self.telemetry.enabled(Category::Transport) {
-            self.telemetry.gauge(
-                Category::Transport,
-                "datatap.queued",
-                self.clock.now(),
-                queued as f64,
-            );
+            let now = self.gate.clock().now();
+            self.telemetry.gauge(Category::Transport, "datatap.queued", now, queued as f64);
+        }
+    }
+
+    /// Marks a control action (`pause`, `resume`, `fail`) on the timeline.
+    fn mark(&self, action: &str) {
+        if self.telemetry.enabled(Category::Transport) {
+            let now = self.gate.clock().now();
+            self.telemetry.mark(Category::Transport, "datatap", action, now);
         }
     }
 }
@@ -205,21 +193,8 @@ pub fn channel_with_telemetry(
     telemetry: Telemetry,
 ) -> (Writer, Reader) {
     assert!(capacity > 0, "channel capacity must be positive");
-    let inner = Arc::new(Inner {
-        state: Mutex::new(State {
-            queue: VecDeque::with_capacity(capacity),
-            capacity,
-            paused: false,
-            drainers: 0,
-            closed: false,
-            failed: None,
-            high_watermark: 0,
-        }),
-        writer_cv: Condvar::new(),
-        reader_cv: Condvar::new(),
-        clock,
-        telemetry,
-    });
+    let fifo = Fifo { queue: VecDeque::with_capacity(capacity), capacity, high_watermark: 0 };
+    let inner = Arc::new(Inner { gate: Gate::new(fifo, clock), telemetry });
     (Writer { inner: inner.clone(), id: 0 }, Reader { inner })
 }
 
@@ -240,49 +215,28 @@ impl Writer {
 
     /// Attempts to buffer a step without blocking.
     pub fn try_write(&self, step: StepData) -> Result<StepMeta, WriteError> {
-        let mut st = self.inner.state.lock();
-        if let Some(reason) = st.failed {
-            return Err(WriteError::Failed(reason));
-        }
-        if st.closed {
-            return Err(WriteError::Closed);
-        }
-        if st.write_gated() {
-            return Err(WriteError::Paused);
-        }
-        if st.queue.len() >= st.capacity {
-            return Err(WriteError::QueueFull);
-        }
-        Ok(self.push(&mut st, step))
+        self.put(false, step)
     }
 
     /// Buffers a step, blocking while the buffer is full or the writer is
     /// paused — this is the "application blocks on I/O" failure mode.
     pub fn write(&self, step: StepData) -> Result<StepMeta, WriteError> {
-        let mut st = self.inner.state.lock();
-        loop {
-            if let Some(reason) = st.failed {
-                return Err(WriteError::Failed(reason));
-            }
-            if st.closed {
-                return Err(WriteError::Closed);
-            }
-            if !st.write_gated() && st.queue.len() < st.capacity {
-                let meta = self.push(&mut st, step);
-                return Ok(meta);
-            }
-            self.inner.writer_cv.wait(&mut st);
-        }
+        self.put(true, step)
     }
 
-    fn push(&self, st: &mut State, payload: StepData) -> StepMeta {
-        let meta = StepMeta { step: payload.step(), bytes: payload.payload_bytes(), writer: self.id };
-        st.queue.push_back(Envelope { meta, payload });
+    fn put(&self, block: bool, payload: StepData) -> Result<StepMeta, WriteError> {
+        let gate = &self.inner.gate;
+        let room = |st: &mut Gated<Fifo>| Ok::<_, WriteError>(st.queue.len() < st.capacity);
+        let mut st = gate.admit(block, room)?;
+        let meta =
+            StepMeta { step: payload.step(), bytes: payload.payload_bytes(), writer: self.id };
+        st.queue.push_back((meta, payload));
         st.high_watermark = st.high_watermark.max(st.queue.len());
         self.inner.telemetry.count(Category::Transport, "datatap.announced", 1);
         self.inner.gauge_queued(st.queue.len());
-        self.inner.reader_cv.notify_all();
-        meta
+        st.wake_readers = true;
+        gate.release(st);
+        Ok(meta)
     }
 
     /// Pauses the channel and blocks until every announced step has been
@@ -294,50 +248,22 @@ impl Writer {
     /// drain is a typed error, never a success-shaped count:
     /// [`PauseAborted::Failed`] if the channel failed mid-drain (buffered
     /// steps were discarded), [`PauseAborted::Closed`] if the reader side
-    /// closed while steps were still buffered.
-    ///
-    /// The write gate engages before the drain starts and is held until
-    /// the drain finishes even if a concurrent [`Writer::resume`] clears
-    /// the paused flag mid-drain — a resumed writer cannot refill the
-    /// queue and stall the pauser. (After such a resume, the channel comes
-    /// out of the drain unpaused.)
+    /// closed while steps were still buffered. The write gate survives a
+    /// concurrent [`Writer::resume`] until the drain is over (see
+    /// [`Gate::pause`]); the channel then comes out of it unpaused.
     pub fn pause(&self) -> Result<usize, PauseAborted> {
-        let mut st = self.inner.state.lock();
-        st.paused = true;
-        st.drainers += 1;
-        let draining = st.queue.len();
-        self.inner.telemetry.count(Category::Transport, "datatap.pauses", 1);
-        if self.inner.telemetry.enabled(Category::Transport) {
-            self.inner.telemetry.mark(
-                Category::Transport,
-                "datatap",
-                "pause",
-                self.inner.clock.now(),
-            );
-        }
-        let outcome = loop {
-            // Failure first: fail() clears the queue, so an empty queue on
-            // a failed channel means steps were discarded, not drained.
-            if let Some(reason) = st.failed {
-                break Err(PauseAborted::Failed(reason));
-            }
-            if st.queue.is_empty() {
-                break Ok(draining);
-            }
-            if st.closed {
-                break Err(PauseAborted::Closed { remaining: st.queue.len() });
-            }
-            self.inner.writer_cv.wait(&mut st);
-        };
-        st.drainers -= 1;
+        let (st, outcome) = self.inner.gate.pause(
+            |fifo| fifo.queue.len(),
+            |st| {
+                self.inner.telemetry.count(Category::Transport, "datatap.pauses", 1);
+                self.inner.mark("pause");
+                st
+            },
+        );
         if outcome.is_err() {
             self.inner.telemetry.count(Category::Transport, "datatap.pause_aborts", 1);
         }
-        if st.drainers == 0 && !st.paused {
-            // A resume arrived mid-drain: the gate opens only now that the
-            // drain is over, so wake the writers it was holding back.
-            self.inner.writer_cv.notify_all();
-        }
+        self.inner.gate.release(st);
         outcome
     }
 
@@ -345,23 +271,23 @@ impl Writer {
     /// progress, the paused flag clears immediately but the write gate
     /// stays held until that drain finishes.
     pub fn resume(&self) {
-        let mut st = self.inner.state.lock();
-        st.paused = false;
-        if self.inner.telemetry.enabled(Category::Transport) {
-            self.inner.telemetry.mark(
-                Category::Transport,
-                "datatap",
-                "resume",
-                self.inner.clock.now(),
-            );
-        }
-        self.inner.writer_cv.notify_all();
+        let mut st = self.inner.gate.lock();
+        st.resume();
+        self.inner.mark("resume");
+        self.inner.gate.release(st);
     }
 
     /// True if the channel currently rejects writes: explicitly paused, or
     /// quiescing because a pause drain is still in progress.
     pub fn is_paused(&self) -> bool {
-        self.inner.state.lock().write_gated()
+        self.inner.gate.lock().is_paused()
+    }
+
+    /// Writers blocked in [`Writer::write`] right now: what a test waits
+    /// on instead of sleeping until a writer has "surely" parked.
+    #[doc(hidden)]
+    pub fn parked_writers(&self) -> usize {
+        self.inner.gate.lock().writers_parked()
     }
 
     /// Injects an endpoint failure: the channel enters the failed state,
@@ -371,24 +297,11 @@ impl Writer {
     /// pulls with [`PullError::Failed`], and plain pulls return `None`
     /// instead of hanging. Returns the number of steps lost.
     pub fn fail(&self, reason: &'static str) -> usize {
-        let mut st = self.inner.state.lock();
-        if st.failed.is_some() {
-            return 0;
-        }
-        st.failed = Some(reason);
-        let lost = st.queue.len();
-        st.queue.clear();
+        let mut st = self.inner.gate.lock();
+        let Some(lost) = st.fail(reason, |fifo| fifo.queue.drain(..).count()) else { return 0 };
         self.inner.telemetry.count(Category::Transport, "datatap.failed_steps", lost as u64);
-        if self.inner.telemetry.enabled(Category::Transport) {
-            self.inner.telemetry.mark(
-                Category::Transport,
-                "datatap",
-                "fail",
-                self.inner.clock.now(),
-            );
-        }
-        self.inner.writer_cv.notify_all();
-        self.inner.reader_cv.notify_all();
+        self.inner.mark("fail");
+        self.inner.gate.release(st);
         lost
     }
 }
@@ -401,46 +314,25 @@ pub struct Reader {
 impl Reader {
     /// Peeks the metadata of the next buffered step without pulling it.
     pub fn peek_meta(&self) -> Option<StepMeta> {
-        self.inner.state.lock().queue.front().map(|e| e.meta)
+        self.inner.gate.lock().queue.front().map(|(meta, _)| *meta)
     }
 
-    /// Pops the next buffered step, if any, and wakes whoever waits for
-    /// queue space (blocked writers, pause drains).
-    fn pop(&self, st: &mut State) -> Option<(StepMeta, StepData)> {
-        let env = st.queue.pop_front()?;
+    /// Pops the next buffered step, if any, and decides to wake whoever
+    /// waits for queue space (blocked writers, pause drains).
+    fn pop(&self, st: &mut Gated<Fifo>) -> Option<(StepMeta, StepData)> {
+        let step = st.queue.pop_front()?;
         self.inner.telemetry.count(Category::Transport, "datatap.pulled", 1);
         self.inner.gauge_queued(st.queue.len());
-        self.inner.writer_cv.notify_all();
-        Some((env.meta, env.payload))
+        st.wake_writers = true;
+        Some(step)
     }
 
     /// The one blocking pull: waits for a step until the channel fails or
-    /// closes, or until `deadline` on the channel's [`Clock`] passes (the
-    /// clock is only read when there is a deadline).
+    /// closes, or until `deadline` on the channel's [`Clock`] passes.
     fn take(&self, deadline: Option<SimTime>) -> Result<(StepMeta, StepData), PullError> {
-        let mut st = self.inner.state.lock();
-        loop {
-            if let Some(step) = self.pop(&mut st) {
-                return Ok(step);
-            }
-            if let Some(reason) = st.failed {
-                return Err(PullError::Failed(reason));
-            }
-            if st.closed {
-                return Err(PullError::Closed);
-            }
-            match deadline {
-                None => self.inner.reader_cv.wait(&mut st),
-                Some(deadline) => {
-                    let now = self.inner.clock.now();
-                    if now >= deadline {
-                        return Err(PullError::TimedOut);
-                    }
-                    let slice = self.inner.clock.block_slice(deadline.since(now));
-                    self.inner.reader_cv.wait_for(&mut st, slice);
-                }
-            }
-        }
+        let (st, step) = self.inner.gate.take_until(deadline, |st| Ok(self.pop(st)))?;
+        self.inner.gate.release(st);
+        Ok(step)
     }
 
     /// Pulls the next step, blocking until one is available. Returns `None`
@@ -460,7 +352,7 @@ impl Reader {
         &self,
         timeout: Duration,
     ) -> Result<(StepMeta, StepData), PullError> {
-        self.take(Some(self.inner.clock.now() + to_sim(timeout)))
+        self.take(Some(self.inner.gate.deadline(timeout)))
     }
 
     /// Pulls with a timeout; `None` on timeout or closed-and-drained.
@@ -474,43 +366,53 @@ impl Reader {
 
     /// Attempts a pull without blocking.
     pub fn try_pull(&self) -> Option<(StepMeta, StepData)> {
-        self.pop(&mut self.inner.state.lock())
+        let mut st = self.inner.gate.lock();
+        let step = self.pop(&mut st);
+        self.inner.gate.release(st);
+        step
     }
 
     /// Steps currently buffered (announced but not yet pulled).
     pub fn queued(&self) -> usize {
-        self.inner.state.lock().queue.len()
+        self.inner.gate.lock().queue.len()
     }
 
     /// The deepest the buffer has ever been.
     pub fn high_watermark(&self) -> usize {
-        self.inner.state.lock().high_watermark
+        self.inner.gate.lock().high_watermark
     }
 
     /// The failure reason, if the channel's endpoint has crashed.
     pub fn failure(&self) -> Option<&'static str> {
-        self.inner.state.lock().failed
-    }
-
-    /// The channel's time source (shared with wrappers like the
-    /// scheduled reader, so all deadlines live on one axis).
-    pub(crate) fn clock(&self) -> Arc<dyn Clock> {
-        self.inner.clock.clone()
+        self.inner.gate.lock().failure()
     }
 
     /// Closes the channel; blocked writers fail with
     /// [`WriteError::Closed`], blocked pulls drain then end.
     pub fn close(&self) {
-        let mut st = self.inner.state.lock();
-        st.closed = true;
-        self.inner.writer_cv.notify_all();
-        self.inner.reader_cv.notify_all();
+        let mut st = self.inner.gate.lock();
+        st.close();
+        self.inner.gate.release(st);
     }
 }
 
 impl Drop for Reader {
     fn drop(&mut self) {
         self.close();
+    }
+}
+
+impl PullSource for Reader {
+    fn pull(&self) -> Option<(StepMeta, StepData)> {
+        Reader::pull(self)
+    }
+
+    fn pull_timeout(&self, timeout: Duration) -> Option<(StepMeta, StepData)> {
+        Reader::pull_timeout(self, timeout)
+    }
+
+    fn clock(&self) -> Arc<dyn Clock> {
+        self.inner.gate.clock().clone()
     }
 }
 
@@ -521,6 +423,14 @@ mod tests {
 
     fn step(ix: u64) -> StepData {
         StepData::new(ix)
+    }
+
+    /// Spins until `ready`: a hand-shake on state the gate already has,
+    /// where a sleep would only make the race unlikely.
+    fn spin_until(ready: impl Fn() -> bool) {
+        while !ready() {
+            thread::yield_now();
+        }
     }
 
     #[test]
@@ -546,8 +456,9 @@ mod tests {
     fn blocking_write_resumes_after_pull() {
         let (w, r) = channel(1);
         w.write(step(0)).unwrap();
-        let writer = thread::spawn(move || w.write(step(1)).map(|m| m.step));
-        thread::sleep(Duration::from_millis(20));
+        let w2 = w.clone();
+        let writer = thread::spawn(move || w2.write(step(1)).map(|m| m.step));
+        spin_until(|| w.parked_writers() == 1);
         let (m, _) = r.pull().unwrap();
         assert_eq!(m.step, 0);
         assert_eq!(writer.join().unwrap().unwrap(), 1);
@@ -581,8 +492,9 @@ mod tests {
     fn close_unblocks_everyone() {
         let (w, r) = channel(1);
         w.try_write(step(0)).unwrap();
-        let blocked = thread::spawn(move || w.write(step(1)));
-        thread::sleep(Duration::from_millis(20));
+        let w2 = w.clone();
+        let blocked = thread::spawn(move || w2.write(step(1)));
+        spin_until(|| w.parked_writers() == 1);
         r.close();
         assert_eq!(blocked.join().unwrap().unwrap_err(), WriteError::Closed);
         // Buffered data is still drainable after close.
@@ -662,10 +574,11 @@ mod tests {
         let (w, r) = channel_with_clock(4, clock);
         w.try_write(step(0)).unwrap();
         w.try_write(step(1)).unwrap();
-        // A reader blocked in pull() when the endpoint dies must wake.
+        // A reader blocked in pull() when the endpoint dies must wake: the
+        // failure lands once the third pull below has parked.
         let w2 = w.clone();
         let failer = thread::spawn(move || {
-            thread::sleep(Duration::from_millis(20));
+            spin_until(|| w2.inner.gate.lock().readers_parked() == 1);
             w2.fail("bonds node kernel panic")
         });
         // Drain the two live steps first, then block.

@@ -11,7 +11,9 @@
 //!   exists to prevent;
 //! * **writer pause/resume** — the consistency action the container
 //!   decrease protocol waits on ([`Writer::pause`] drains announced steps
-//!   so no time step is lost while a downstream container resizes);
+//!   so no time step is lost while a downstream container resizes). The
+//!   protocol itself is written once, in [`gate`], and the stream engine
+//!   is built on the same one (DESIGN.md, "One gate");
 //! * **server-directed pull scheduling** — the receiver decides when pulls
 //!   happen ([`PullPolicy`]), DataStager's contention-avoidance mechanism.
 //!
@@ -37,9 +39,9 @@
 mod channel;
 pub mod clock;
 mod cost;
+pub mod gate;
 mod sched_reader;
 mod scheduler;
-mod sync;
 
 pub use channel::{
     channel, channel_with_clock, channel_with_telemetry, PauseAborted, PullError, Reader,
@@ -50,8 +52,8 @@ pub use cost::TransportCosts;
 pub use sched_reader::{PullGuard, PullSource, ScheduledReader};
 pub use scheduler::PullPolicy;
 
-/// The loom stand-in, under `--cfg loom` only: the stream engine puts its
-/// own sync seam over this re-export, so both transports are model-checked
-/// against the one set of primitives.
+/// The loom stand-in, under `--cfg loom` only, for the model suites of
+/// both transports to spawn their threads from: the primitives themselves
+/// are swapped in one place, [`gate`].
 #[cfg(loom)]
 pub use loom;

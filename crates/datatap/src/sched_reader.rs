@@ -15,10 +15,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use adios::StepData;
-use parking_lot::{Condvar, Mutex};
+use sim_core::SimTime;
 
 use crate::channel::{Reader, StepMeta};
-use crate::clock::{to_sim, to_std, Clock};
+use crate::clock::{to_std, Clock};
+use crate::gate::{Gate, Gated};
 use crate::scheduler::PullPolicy;
 
 /// A pull endpoint the scheduler can wrap: blocking and deadline-bounded
@@ -38,38 +39,17 @@ pub trait PullSource {
     fn clock(&self) -> Arc<dyn Clock>;
 }
 
-impl PullSource for Reader {
-    fn pull(&self) -> Option<(StepMeta, StepData)> {
-        Reader::pull(self)
-    }
-
-    fn pull_timeout(&self, timeout: Duration) -> Option<(StepMeta, StepData)> {
-        Reader::pull_timeout(self, timeout)
-    }
-
-    fn clock(&self) -> Arc<dyn Clock> {
-        Reader::clock(self)
-    }
-}
-
-struct SchedState {
+/// The scheduler's own state under its gate: pulls in flight.
+struct Slots {
     in_flight: usize,
 }
 
 struct Inner<S> {
     source: S,
     policy: PullPolicy,
-    state: Mutex<SchedState>,
-    slot_free: Condvar,
-    clock: Arc<dyn Clock>,
-}
-
-impl<S> Inner<S> {
-    fn release_slot(&self) {
-        let mut st = self.state.lock();
-        st.in_flight -= 1;
-        self.slot_free.notify_one();
-    }
+    /// Slot waiters park here as the gate's takers: a freed slot is what
+    /// they take, on the source's clock.
+    slots: Gate<Slots>,
 }
 
 /// A policy-enforcing, clonable reader handle over any [`PullSource`].
@@ -91,48 +71,43 @@ pub struct PullGuard<S: PullSource = Reader> {
 
 impl<S: PullSource> Drop for PullGuard<S> {
     fn drop(&mut self) {
-        self.inner.release_slot();
+        let mut st = self.inner.slots.lock();
+        st.in_flight -= 1;
+        st.wake_readers = true;
+        self.inner.slots.release(st);
     }
 }
 
 impl<S: PullSource> ScheduledReader<S> {
     /// Wraps a pull endpoint with a pull policy.
     pub fn new(source: S, policy: PullPolicy) -> ScheduledReader<S> {
-        let clock = source.clock();
-        ScheduledReader {
-            inner: Arc::new(Inner {
-                source,
-                policy,
-                state: Mutex::new(SchedState { in_flight: 0 }),
-                slot_free: Condvar::new(),
-                clock,
-            }),
-        }
+        let slots = Gate::new(Slots { in_flight: 0 }, source.clock());
+        ScheduledReader { inner: Arc::new(Inner { source, policy, slots }) }
     }
 
     /// Pulls currently in flight (guards alive).
     pub fn in_flight(&self) -> usize {
-        self.inner.state.lock().in_flight
+        self.inner.slots.lock().in_flight
+    }
+
+    /// Takes a pull slot, waiting while the policy's cap is reached; `None`
+    /// if `deadline` passed first. Dropping the guard gives the slot back.
+    fn acquire(&self, deadline: Option<SimTime>) -> Option<PullGuard<S>> {
+        let policy = self.inner.policy;
+        let free =
+            |st: &mut Gated<Slots>| Ok(policy.may_start(st.in_flight).then(|| st.in_flight += 1));
+        let (st, ()) = self.inner.slots.take_until(deadline, free).ok()?;
+        self.inner.slots.release(st);
+        Some(PullGuard { inner: self.inner.clone() })
     }
 
     /// Acquires a pull slot (blocking while the policy's cap is reached),
     /// then pulls the next step. Returns `None` when the channel is closed
     /// and drained.
     pub fn pull(&self) -> Option<(PullGuard<S>, StepMeta, StepData)> {
-        {
-            let mut st = self.inner.state.lock();
-            while !self.inner.policy.may_start(st.in_flight) {
-                self.inner.slot_free.wait(&mut st);
-            }
-            st.in_flight += 1;
-        }
-        match self.inner.source.pull() {
-            Some((meta, data)) => Some((PullGuard { inner: self.inner.clone() }, meta, data)),
-            None => {
-                self.inner.release_slot();
-                None
-            }
-        }
+        let slot = self.acquire(None)?;
+        let (meta, data) = self.inner.source.pull()?;
+        Some((slot, meta, data))
     }
 
     /// As [`ScheduledReader::pull`] but gives up after `timeout` waiting
@@ -145,35 +120,17 @@ impl<S: PullSource> ScheduledReader<S> {
     /// [`Clock`]. (It used to hand the inner pull a fresh full budget
     /// after the slot wait, blocking for up to twice the stated timeout.)
     pub fn pull_timeout(&self, timeout: Duration) -> Option<(PullGuard<S>, StepMeta, StepData)> {
-        // Deadline arithmetic on the channel's clock, not Instant math:
-        // under a manual clock the slot wait passes virtually.
-        let deadline = self.inner.clock.now() + to_sim(timeout);
-        {
-            let mut st = self.inner.state.lock();
-            while !self.inner.policy.may_start(st.in_flight) {
-                let now = self.inner.clock.now();
-                if now >= deadline {
-                    return None;
-                }
-                let slice = self.inner.clock.block_slice(deadline.since(now));
-                self.inner.slot_free.wait_for(&mut st, slice);
-            }
-            st.in_flight += 1;
-        }
+        let slots = &self.inner.slots;
+        let deadline = slots.deadline(timeout);
+        let slot = self.acquire(Some(deadline))?;
         // The slot wait may have consumed part (or all) of the budget:
         // hand the inner pull only what remains.
-        let now = self.inner.clock.now();
+        let now = slots.clock().now();
         if now >= deadline {
-            self.inner.release_slot();
             return None;
         }
-        match self.inner.source.pull_timeout(to_std(deadline.since(now))) {
-            Some((meta, data)) => Some((PullGuard { inner: self.inner.clone() }, meta, data)),
-            None => {
-                self.inner.release_slot();
-                None
-            }
-        }
+        let (meta, data) = self.inner.source.pull_timeout(to_std(deadline.since(now)))?;
+        Some((slot, meta, data))
     }
 }
 
@@ -206,24 +163,33 @@ mod tests {
         }
         let sched = ScheduledReader::new(r, PullPolicy::Scheduled { max_concurrent: 2 });
         let peak = Arc::new(AtomicUsize::new(0));
-
+        let pulled = Arc::new(AtomicUsize::new(0));
+        // Two pulls hold both slots ...
+        let held: Vec<_> = (0..2).map(|_| sched.pull().unwrap()).collect();
         let mut handles = Vec::new();
         for _ in 0..4 {
-            let sched = sched.clone();
-            let peak = peak.clone();
+            let (sched, peak, pulled) = (sched.clone(), peak.clone(), pulled.clone());
             handles.push(std::thread::spawn(move || {
-                while let Some((_guard, _, _)) =
-                    sched.pull_timeout(Duration::from_millis(50))
-                {
-                    let now = sched.in_flight();
-                    peak.fetch_max(now, Ordering::Relaxed);
-                    std::thread::sleep(Duration::from_millis(5));
+                while let Some((_guard, _, _)) = sched.pull() {
+                    peak.fetch_max(sched.in_flight(), Ordering::Relaxed);
+                    pulled.fetch_add(1, Ordering::Relaxed);
                 }
             }));
         }
+        // ... so every other consumer parks on the slot wait, whatever is
+        // queued: the cap, not the data, is what holds them.
+        while sched.inner.slots.lock().readers_parked() < 4 {
+            std::thread::yield_now();
+        }
+        assert_eq!(sched.in_flight(), 2);
+        // Freed, the four race through the six steps left (closed first,
+        // so their pulls end once the queue is drained), two at a time.
+        sched.inner.source.close();
+        drop(held);
         for h in handles {
             h.join().unwrap();
         }
+        assert_eq!(pulled.load(Ordering::Relaxed), 6);
         assert!(peak.load(Ordering::Relaxed) <= 2, "cap violated: {}", peak.load(Ordering::Relaxed));
     }
 

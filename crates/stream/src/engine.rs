@@ -20,31 +20,28 @@
 //!   `w`; writers block while that cursor lags `w` or more steps behind
 //!   the seal frontier;
 //! * the **pause gate** — [`StepWriter::pause`] stops new fragments and
-//!   drains the sealed backlog through every attached cursor, with the
-//!   same typed-outcome contract as the staged channel
-//!   ([`datatap::PauseAborted`]): an abort by failure or close is an
-//!   error, never a success-shaped count, and the gate survives a racing
-//!   [`StepWriter::resume`] until the drain completes.
+//!   drains the sealed backlog through every attached cursor.
 //!
-//! Every operation *decides* under the log mutex and *acts* after
-//! releasing it (`Inner::finish`): which condvar to notify (and only if a
-//! waiter count says someone is parked on it), which announcements go to
-//! the control stone (queued in lock order, submitted by one thread at a
-//! time), which truncated steps to free. Waking a parked thread costs the
-//! waker tens of microseconds on a small VM; done under the mutex, that is
-//! time the other side spends queueing for the lock.
+//! The pause gate, the admission order, parking, close/fail, the deadline
+//! of a timed pull and the counted wakes are [`datatap::gate`]'s, the very
+//! code the staged channel runs on (DESIGN.md, "One gate"). The engine
+//! keeps what is its own: staging and the seal rule, the cursors, the
+//! retention bound with its low-water mark, and what [`Inner::finish`]
+//! does once the lock is released — which announcements go to the control
+//! stone (queued in lock order, submitted by one thread at a time) and
+//! which truncated steps to free.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 use adios::{AttrValue, StepData};
-use datatap::{Clock, PauseAborted, PullSource, StepMeta, WallClock};
+use datatap::gate::{Gate, Gated, Guard};
+use datatap::{Clock, PauseAborted, PullError, PullSource, StepMeta, WallClock, WriteError};
 use evpath::{Event, OverlaySender, StoneId};
 use sim_core::{SimDuration, SimTime};
 use simtel::{Category, Telemetry};
-
-use crate::sync::{Condvar, Mutex, MutexGuard};
 
 /// A consumer that takes this long to free one slot is slow next to what a
 /// wake-up costs (10-20 us for the waker): a wake per step is then under
@@ -120,6 +117,18 @@ impl std::fmt::Display for StreamWriteError {
 }
 
 impl std::error::Error for StreamWriteError {}
+
+/// The gate's refusals, in the engine's vocabulary.
+impl From<WriteError> for StreamWriteError {
+    fn from(refused: WriteError) -> StreamWriteError {
+        match refused {
+            WriteError::QueueFull => StreamWriteError::WindowFull,
+            WriteError::Closed => StreamWriteError::Closed,
+            WriteError::Paused => StreamWriteError::Paused,
+            WriteError::Failed(reason) => StreamWriteError::Failed(reason),
+        }
+    }
+}
 
 /// Where a cursor starts when a reader attaches.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -220,12 +229,18 @@ struct CursorState {
     next: u64,
     /// Fragment position within that step (for fragment-at-a-time pulls).
     frag: usize,
-    /// Live [`StreamReader`] handles on this cursor.
-    handles: usize,
+    /// True while [`StreamReader`] handles on this cursor are alive.
+    attached: bool,
     /// Advertised flow-control window, in sealed steps.
     window: Option<usize>,
+    /// Which registration of the name this is (see [`Attachment`]).
+    gen: u64,
 }
 
+type Cursors = BTreeMap<String, CursorState>;
+
+/// The engine's own state under the gate.
+#[derive(Default)]
 struct LogState {
     sealed: VecDeque<Arc<GlobalStep>>,
     /// Log offset of `sealed.front()`.
@@ -236,29 +251,17 @@ struct LogState {
     /// Last accepted step index per rank (enforces strict per-rank
     /// monotonicity).
     last_step: Vec<Option<u64>>,
-    cursors: BTreeMap<String, CursorState>,
-    writer_handles: usize,
-    paused: bool,
-    /// Active pause drains; the write gate is held while non-zero even if
-    /// a concurrent resume cleared `paused` (same contract as the staged
-    /// channel).
-    drainers: usize,
-    closed: bool,
-    failed: Option<&'static str>,
+    cursors: Cursors,
+    /// Cursors registered so far: the next one's generation.
+    registered: u64,
+    /// The live writer handles' shared token, if any are alive.
+    writers: Weak<WriterGroup>,
     sealed_total: u64,
-    /// Writers parked on `writer_cv` inside `write`. Pause drainers, the
-    /// other waiters on that condvar, are counted by `drainers`.
-    gate_parked: usize,
-    /// When the first of them parked, or the last truncation above the
-    /// low-water mark that they slept through: the start of the wait for
-    /// the next slot (see [`Inner::refill_due`]).
+    /// When the first writer parked on the retention bound, or the last
+    /// truncation above the low-water mark that the parked writers slept
+    /// through: the start of the wait for the next slot (see
+    /// [`Inner::refill_due`]).
     gate_since: SimTime,
-    /// Readers parked on `reader_cv`.
-    readers_parked: usize,
-    /// What the operation holding the lock has decided so far;
-    /// [`Inner::finish`] carries it out once the lock is released.
-    wake_writers: bool,
-    wake_readers: bool,
     /// Truncated steps, freed after the lock is released.
     retired: Vec<Arc<GlobalStep>>,
     /// Control announcements in lock order, and whether some thread is
@@ -273,10 +276,6 @@ impl LogState {
         self.base + self.sealed.len() as u64
     }
 
-    fn write_gated(&self) -> bool {
-        self.paused || self.drainers > 0
-    }
-
     /// True while a write must wait for readers: the retention bound is
     /// hit, or an attached cursor's advertised window is exhausted.
     fn window_blocked(&self, retention: usize) -> bool {
@@ -285,15 +284,14 @@ impl LogState {
         }
         let frontier = self.frontier();
         self.cursors.values().any(|c| {
-            c.handles > 0
-                && c.window.is_some_and(|w| frontier.saturating_sub(c.next) >= w as u64)
+            c.attached && c.window.is_some_and(|w| frontier.saturating_sub(c.next) >= w as u64)
         })
     }
 
     /// True while an attached cursor advertises a window: its gate moves
     /// with every step that cursor consumes.
     fn windowed(&self) -> bool {
-        self.cursors.values().any(|c| c.handles > 0 && c.window.is_some())
+        self.cursors.values().any(|c| c.attached && c.window.is_some())
     }
 
     /// Sealed steps not yet consumed by the slowest attached cursor.
@@ -301,7 +299,7 @@ impl LogState {
         let frontier = self.frontier();
         self.cursors
             .values()
-            .filter(|c| c.handles > 0)
+            .filter(|c| c.attached)
             .map(|c| (frontier.saturating_sub(c.next)) as usize)
             .max()
             .unwrap_or(0)
@@ -310,10 +308,7 @@ impl LogState {
 
 struct Inner {
     cfg: StreamConfig,
-    state: Mutex<LogState>,
-    writer_cv: Condvar,
-    reader_cv: Condvar,
-    clock: Arc<dyn Clock>,
+    gate: Gate<LogState>,
     telemetry: Telemetry,
     control: Option<(OverlaySender, StoneId)>,
 }
@@ -327,82 +322,48 @@ impl Inner {
         }
     }
 
-    /// Ends an operation: releases the lock, then does what the operation
-    /// decided while holding it. A condvar is notified only if a thread is
-    /// parked on it. The outbox is drained by one thread at a time, so the
-    /// submission order is the queue order; an operation that finds another
-    /// thread draining leaves its announcements to that thread, which
-    /// submits them before its own operation returns.
-    fn finish(&self, mut st: MutexGuard<'_, LogState>) {
-        let wake_writers = std::mem::take(&mut st.wake_writers) && st.gate_parked + st.drainers > 0;
-        let wake_readers = std::mem::take(&mut st.wake_readers) && st.readers_parked > 0;
+    /// Ends an operation: releases the lock through the gate (which wakes
+    /// whom the operation decided to wake), then frees the steps it
+    /// truncated and submits its announcements. The outbox is drained by
+    /// one thread at a time, so the submission order is the queue order; an
+    /// operation that finds another thread draining leaves its
+    /// announcements to that thread, which submits them before its own
+    /// operation returns.
+    fn finish(&self, mut st: Guard<'_, LogState>) {
         // A cursor advance retires at most one step, so the per-step path
         // only pops; a retire or re-attach can release several at once.
         let retired = st.retired.pop();
         let more: Vec<_> = st.retired.drain(..).collect();
         let mut next = if st.announcing { None } else { st.outbox.pop_front() };
         st.announcing |= next.is_some();
-        drop(st);
-        if wake_readers {
-            self.reader_cv.notify_all();
-        }
-        if wake_writers {
-            self.writer_cv.notify_all();
-        }
+        self.gate.release(st);
         drop((retired, more));
         while let Some(msg) = next {
             if let Some((sender, stone)) = &self.control {
                 sender.submit(*stone, Event::new(msg));
             }
-            let mut st = self.state.lock();
+            let mut st = self.gate.lock();
             next = st.outbox.pop_front();
             st.announcing = next.is_some();
         }
     }
 
-    /// Parks a reader until a seal, close or failure wakes it, or for
-    /// `slice` when the pull has a deadline.
-    fn park_reader(&self, st: &mut MutexGuard<'_, LogState>, slice: Option<Duration>) {
-        // Park-safety rule. The low-water mark lets a gate-parked writer
-        // sleep through truncations, and this thread may be the only one
-        // serving the cursors that writer is waiting for: it must not go
-        // to sleep on a writer the gate would admit. The wait below
-        // releases the lock at once, so the woken writer does not queue.
-        if st.gate_parked > 0 && !st.write_gated() && !st.window_blocked(self.cfg.retention) {
-            self.writer_cv.notify_all();
-        }
-        st.readers_parked += 1;
-        match slice {
-            Some(slice) => {
-                self.reader_cv.wait_for(st, slice);
-            }
-            None => self.reader_cv.wait(st),
-        }
-        st.readers_parked -= 1;
-    }
-
     fn gauge_retained(&self, st: &LogState) {
         if self.telemetry.enabled(Category::Transport) {
-            self.telemetry.gauge(
-                Category::Transport,
-                "stream.retained",
-                self.clock.now(),
-                st.sealed.len() as f64,
-            );
+            let (now, retained) = (self.gate.clock().now(), st.sealed.len() as f64);
+            self.telemetry.gauge(Category::Transport, "stream.retained", now, retained);
         }
     }
 
     /// Seals every complete step at the staging front. Per-rank step
     /// sequences are strictly increasing, so once the lowest staged step
     /// has all its fragments no later arrival can precede it.
-    fn seal_ready(&self, st: &mut LogState) {
-        while let Some(&step) = st.staging.keys().next() {
-            let complete =
-                st.staging.get(&step).is_some_and(|slots| slots.iter().all(Option::is_some));
-            if !complete {
+    fn seal_ready(&self, st: &mut Gated<LogState>) {
+        while let Some(lowest) = st.staging.first_entry() {
+            if !lowest.get().iter().all(Option::is_some) {
                 break;
             }
-            let Some(slots) = st.staging.remove(&step) else { break };
+            let (step, slots) = lowest.remove_entry();
             let fragments: Vec<StepData> = slots.into_iter().flatten().collect();
             let mut attrs = BTreeMap::new();
             for frag in &fragments {
@@ -439,14 +400,14 @@ impl Inner {
     }
 
     /// A cursor moved past a step: truncates, then decides whether the
-    /// writer side is worth waking. Pause drainers watch the backlog,
+    /// writer side is worth waking. Pause drains watch the backlog,
     /// which every advance moves, and a window gate moves with every step
     /// its cursor consumes. A writer parked on the retention bound is
     /// woken by a truncation that [`Inner::refill_due`] accepts.
-    fn cursor_advanced(&self, st: &mut LogState) {
+    fn cursor_advanced(&self, st: &mut Gated<LogState>) {
         let truncated = self.truncate(st);
-        let parked = st.gate_parked > 0;
-        if st.drainers > 0 || (parked && (st.windowed() || (truncated && self.refill_due(st)))) {
+        let parked = st.writers_parked() > 0;
+        if st.draining() || (parked && (st.windowed() || (truncated && self.refill_due(st)))) {
             st.wake_writers = true;
         }
     }
@@ -462,19 +423,64 @@ impl Inner {
         if st.sealed.len() <= self.cfg.retention / 2 {
             return true;
         }
-        let now = self.clock.now();
+        let now = self.gate.clock().now();
         let waited = now.saturating_since(st.gate_since);
         st.gate_since = now;
         waited >= SLOW_CONSUMER
     }
 
-    fn close(&self, st: &mut LogState) {
-        if !st.closed {
-            st.closed = true;
-            self.announce(st, StreamControl::Closed);
+    /// Closes the stream; announced once.
+    fn close(&self) {
+        let mut st = self.gate.lock();
+        if st.close() {
+            self.announce(&mut st, StreamControl::Closed);
         }
+        self.finish(st);
+    }
+}
+
+/// What the writer handles share. Handle counts are `Arc`'s: a count moves
+/// only when a handle is cloned or dropped, and the last drop runs this.
+struct WriterGroup(Arc<Inner>);
+
+impl Drop for WriterGroup {
+    /// The last writer handle dropped: the stream closes.
+    fn drop(&mut self) {
+        self.0.close();
+    }
+}
+
+/// What the handles on one cursor share: one *registration* of its name.
+/// A name retired and registered again is a new cursor with a new
+/// generation, so handles left over from the old one find nothing: their
+/// pulls end, and their drop detaches nobody.
+struct Attachment {
+    inner: Arc<Inner>,
+    name: String,
+    gen: u64,
+}
+
+impl Attachment {
+    fn of<'a>(&self, cursors: &'a mut Cursors) -> Option<&'a mut CursorState> {
+        cursors.get_mut(&self.name).filter(|c| c.gen == self.gen)
+    }
+}
+
+impl Drop for Attachment {
+    /// The cursor's last handle dropped: it detaches, unless it was
+    /// retired meanwhile.
+    fn drop(&mut self) {
+        let mut st = self.inner.gate.lock();
+        let Some(cursor) = self.of(&mut st.cursors) else { return };
+        // The cursor stays registered at `at`: the retention gate keeps
+        // holding its steps, and window gating stops (a detached reader
+        // cannot pull, so its window must not wedge the writers).
+        cursor.attached = false;
+        let at = cursor.next;
+        let reader = self.name.clone();
+        self.inner.announce(&mut st, StreamControl::Detached { reader, at });
         st.wake_writers = true;
-        st.wake_readers = true;
+        self.inner.finish(st);
     }
 }
 
@@ -523,33 +529,12 @@ impl StreamBuilder {
         // steps retire at once only off the per-step path, which may grow it.
         let retired = Vec::with_capacity(self.cfg.retention.min(64));
         let outbox = VecDeque::with_capacity(if self.control.is_some() { 16 } else { 0 });
+        let log =
+            LogState { last_step: vec![None; writers], retired, outbox, ..LogState::default() };
         StreamEngine {
             inner: Arc::new(Inner {
                 cfg: self.cfg,
-                state: Mutex::new(LogState {
-                    sealed: VecDeque::new(),
-                    base: 0,
-                    staging: BTreeMap::new(),
-                    last_step: vec![None; writers],
-                    cursors: BTreeMap::new(),
-                    writer_handles: 0,
-                    paused: false,
-                    drainers: 0,
-                    closed: false,
-                    failed: None,
-                    sealed_total: 0,
-                    gate_parked: 0,
-                    gate_since: SimTime::ZERO,
-                    readers_parked: 0,
-                    wake_writers: false,
-                    wake_readers: false,
-                    retired,
-                    outbox,
-                    announcing: false,
-                }),
-                writer_cv: Condvar::new(),
-                reader_cv: Condvar::new(),
-                clock: self.clock,
+                gate: Gate::new(log, self.clock),
                 telemetry: self.telemetry,
                 control: self.control,
             }),
@@ -590,10 +575,13 @@ impl StreamEngine {
     /// Panics if `rank` is outside the configured writer group.
     pub fn writer(&self, rank: u32) -> StepWriter {
         assert!(rank < self.inner.cfg.writers, "rank outside the writer group");
-        let mut st = self.inner.state.lock();
-        st.writer_handles += 1;
-        drop(st);
-        StepWriter { inner: self.inner.clone(), rank }
+        let mut st = self.inner.gate.lock();
+        let group = st.writers.upgrade().unwrap_or_else(|| {
+            let group = Arc::new(WriterGroup(self.inner.clone()));
+            st.writers = Arc::downgrade(&group);
+            group
+        });
+        StepWriter { group, rank }
     }
 
     /// Attaches a reader to the named cursor at the given position. The
@@ -609,93 +597,65 @@ impl StreamEngine {
         window: Option<usize>,
     ) -> Result<StreamReader, AttachError> {
         let name = name.into();
-        let mut st = self.inner.state.lock();
-        let frontier = st.frontier();
-        let base = st.base;
-        let at = match st.cursors.get_mut(&name) {
-            Some(cursor) => {
-                if cursor.handles > 0 {
-                    return Err(AttachError::Busy(name));
-                }
-                match attach {
-                    Attach::Oldest => {
-                        cursor.next = base;
-                        cursor.frag = 0;
-                    }
-                    Attach::Current => {
-                        cursor.next = frontier;
-                        cursor.frag = 0;
-                    }
-                    Attach::Resume => {}
-                }
-                cursor.handles = 1;
-                cursor.window = window;
-                cursor.next
-            }
-            None => {
-                if matches!(attach, Attach::Resume) {
-                    return Err(AttachError::Unknown(name));
-                }
-                let next = if matches!(attach, Attach::Current) { frontier } else { base };
-                st.cursors
-                    .insert(name.clone(), CursorState { next, frag: 0, handles: 1, window });
-                next
+        let mut st = self.inner.gate.lock();
+        let start = match attach {
+            Attach::Oldest => Some(st.base),
+            Attach::Current => Some(st.frontier()),
+            Attach::Resume => None,
+        };
+        let log: &mut LogState = &mut st;
+        let cursor = match log.cursors.entry(name.clone()) {
+            Entry::Occupied(known) => known.into_mut(),
+            Entry::Vacant(_) if start.is_none() => return Err(AttachError::Unknown(name)),
+            Entry::Vacant(fresh) => {
+                log.registered += 1;
+                let gen = log.registered;
+                fresh.insert(CursorState { next: 0, frag: 0, attached: false, window, gen })
             }
         };
+        if cursor.attached {
+            return Err(AttachError::Busy(name));
+        }
+        cursor.attached = true;
+        if let Some(next) = start {
+            cursor.next = next;
+            cursor.frag = 0;
+        }
+        cursor.window = window;
+        let (at, gen) = (cursor.next, cursor.gen);
         self.inner.announce(&mut st, StreamControl::Attached { reader: name.clone(), at });
         self.inner.finish(st);
-        Ok(StreamReader { inner: self.inner.clone(), name })
+        Ok(StreamReader { cursor: Arc::new(Attachment { inner: self.inner.clone(), name, gen }) })
     }
 
     /// Closes the engine: writers fail with [`StreamWriteError::Closed`],
     /// readers drain the retained log and then end, active pause drains
     /// abort with [`PauseAborted::Closed`].
     pub fn close(&self) {
-        let mut st = self.inner.state.lock();
-        self.inner.close(&mut st);
-        self.inner.finish(st);
+        self.inner.close();
     }
 
     /// Global steps sealed over the engine's lifetime.
     pub fn sealed_steps(&self) -> u64 {
-        self.inner.state.lock().sealed_total
+        self.inner.gate.lock().sealed_total
     }
 
     /// Sealed steps currently retained in the log.
     pub fn retained(&self) -> usize {
-        self.inner.state.lock().sealed.len()
+        self.inner.gate.lock().sealed.len()
     }
 
     /// The engine's time source.
     pub fn clock(&self) -> Arc<dyn Clock> {
-        self.inner.clock.clone()
+        self.inner.gate.clock().clone()
     }
 }
 
 /// One rank's writer handle into the stream's writer group.
+#[derive(Clone)]
 pub struct StepWriter {
-    inner: Arc<Inner>,
+    group: Arc<WriterGroup>,
     rank: u32,
-}
-
-impl Clone for StepWriter {
-    fn clone(&self) -> StepWriter {
-        let mut st = self.inner.state.lock();
-        st.writer_handles += 1;
-        drop(st);
-        StepWriter { inner: self.inner.clone(), rank: self.rank }
-    }
-}
-
-impl Drop for StepWriter {
-    fn drop(&mut self) {
-        let mut st = self.inner.state.lock();
-        st.writer_handles -= 1;
-        if st.writer_handles == 0 {
-            self.inner.close(&mut st);
-        }
-        self.inner.finish(st);
-    }
 }
 
 impl StepWriter {
@@ -704,86 +664,62 @@ impl StepWriter {
         self.rank
     }
 
-    /// A handle for another rank of the same group.
-    pub fn with_rank(&self, rank: u32) -> StepWriter {
-        assert!(rank < self.inner.cfg.writers, "rank outside the writer group");
-        let clone = self.clone();
-        StepWriter { inner: clone.inner.clone(), rank }
-    }
-
+    /// The engine's own admission check: the rank is in the group and its
+    /// step index moves strictly forward.
     fn check(&self, st: &LogState, step: u64) -> Result<(), StreamWriteError> {
-        if let Some(reason) = st.failed {
-            return Err(StreamWriteError::Failed(reason));
+        let (rank, writers) = (self.rank, self.group.0.cfg.writers);
+        if rank >= writers {
+            return Err(StreamWriteError::RankOutOfRange { rank, writers });
         }
-        if st.closed {
-            return Err(StreamWriteError::Closed);
-        }
-        if self.rank >= self.inner.cfg.writers {
-            return Err(StreamWriteError::RankOutOfRange {
-                rank: self.rank,
-                writers: self.inner.cfg.writers,
-            });
-        }
-        if let Some(Some(last)) = st.last_step.get(self.rank as usize) {
-            if step <= *last {
-                return Err(StreamWriteError::StaleStep { step, last: *last });
+        match st.last_step.get(rank as usize) {
+            Some(Some(last)) if step <= *last => {
+                Err(StreamWriteError::StaleStep { step, last: *last })
             }
+            _ => Ok(()),
         }
-        Ok(())
     }
 
-    fn push(&self, st: &mut LogState, data: StepData) -> StepMeta {
-        let step = data.step();
-        let meta = StepMeta { step, bytes: data.payload_bytes(), writer: self.rank };
-        if let Some(slot) = st.last_step.get_mut(self.rank as usize) {
+    fn put(&self, block: bool, data: StepData) -> Result<StepMeta, StreamWriteError> {
+        let inner = &self.group.0;
+        let (rank, step) = (self.rank, data.step());
+        let room = |st: &mut Gated<LogState>| -> Result<bool, StreamWriteError> {
+            self.check(st, step)?;
+            let room = !st.window_blocked(inner.cfg.retention);
+            if block && !room && st.writers_parked() == 0 {
+                // The first writer to park on the bound: the wait for the
+                // next slot starts now.
+                st.gate_since = inner.gate.clock().now();
+            }
+            Ok(room)
+        };
+        let mut st = inner.gate.admit(block, room)?;
+        let meta = StepMeta { step, bytes: data.payload_bytes(), writer: rank };
+        if let Some(slot) = st.last_step.get_mut(rank as usize) {
             *slot = Some(step);
         }
-        let writers = self.inner.cfg.writers as usize;
+        let writers = inner.cfg.writers as usize;
         let slots = st.staging.entry(step).or_insert_with(|| vec![None; writers]);
-        if let Some(slot) = slots.get_mut(self.rank as usize) {
+        if let Some(slot) = slots.get_mut(rank as usize) {
             *slot = Some(data);
         }
-        self.inner.telemetry.count(Category::Transport, "stream.announced", 1);
-        self.inner.seal_ready(st);
-        meta
+        inner.telemetry.count(Category::Transport, "stream.announced", 1);
+        inner.seal_ready(&mut st);
+        inner.finish(st);
+        Ok(meta)
     }
 
     /// Contributes this rank's fragment for a step without blocking.
     /// Fragment step indices must be strictly increasing per rank; the
     /// step seals when every rank's fragment has arrived.
     pub fn try_write(&self, data: StepData) -> Result<StepMeta, StreamWriteError> {
-        let mut st = self.inner.state.lock();
-        self.check(&st, data.step())?;
-        if st.write_gated() {
-            return Err(StreamWriteError::Paused);
-        }
-        if st.window_blocked(self.inner.cfg.retention) {
-            return Err(StreamWriteError::WindowFull);
-        }
-        let meta = self.push(&mut st, data);
-        self.inner.finish(st);
-        Ok(meta)
+        self.put(false, data)
     }
 
     /// As [`StepWriter::try_write`], but blocks while the pause gate is
     /// held or the retention/window bounds require readers to catch up —
     /// reader-side flow control backpressuring the application.
     pub fn write(&self, data: StepData) -> Result<StepMeta, StreamWriteError> {
-        let mut st = self.inner.state.lock();
-        loop {
-            self.check(&st, data.step())?;
-            if !st.write_gated() && !st.window_blocked(self.inner.cfg.retention) {
-                let meta = self.push(&mut st, data);
-                self.inner.finish(st);
-                return Ok(meta);
-            }
-            if st.gate_parked == 0 {
-                st.gate_since = self.inner.clock.now();
-            }
-            st.gate_parked += 1;
-            self.inner.writer_cv.wait(&mut st);
-            st.gate_parked -= 1;
-        }
+        self.put(true, data)
     }
 
     /// Pauses the writer group and blocks until every *sealed* step has
@@ -793,48 +729,26 @@ impl StepWriter {
     /// [`StepWriter::resume`] — they were never visible to readers, so
     /// the drain guarantee concerns only announced (sealed) steps.
     ///
-    /// The outcome contract is the staged channel's: an abort is a typed
-    /// [`PauseAborted`] — [`PauseAborted::Failed`] if the engine failed
-    /// mid-drain (retained steps were discarded), [`PauseAborted::Closed`]
-    /// if it was closed with steps still undelivered — never a
-    /// success-shaped count. The write gate engages before the drain and
-    /// survives a concurrent [`StepWriter::resume`] until the drain ends.
+    /// The contract is [`Gate::pause`]'s, the staged channel's too: an
+    /// abort is a typed [`PauseAborted`] — `Failed` if the engine failed
+    /// mid-drain (retained steps were discarded), `Closed` if it was
+    /// closed with steps still undelivered — and the write gate survives
+    /// a concurrent [`StepWriter::resume`] until the drain ends.
     pub fn pause(&self) -> Result<usize, PauseAborted> {
-        let mut st = self.inner.state.lock();
-        st.paused = true;
-        st.drainers += 1;
-        let draining = st.backlog();
-        self.inner.telemetry.count(Category::Transport, "stream.pauses", 1);
-        self.inner.announce(&mut st, StreamControl::Paused);
-        // `Paused` goes out before the drain, not after it. The gate holds
-        // across the gap (`drainers` is counted), and the loop re-reads
-        // whatever a racing resume, close or fail did meanwhile.
-        self.inner.finish(st);
-        let mut st = self.inner.state.lock();
-        let outcome = loop {
-            // Failure first: fail() clears the log, so an empty backlog on
-            // a failed engine means steps were discarded, not drained.
-            if let Some(reason) = st.failed {
-                break Err(PauseAborted::Failed(reason));
-            }
-            let backlog = st.backlog();
-            if backlog == 0 {
-                break Ok(draining);
-            }
-            if st.closed {
-                break Err(PauseAborted::Closed { remaining: backlog });
-            }
-            self.inner.writer_cv.wait(&mut st);
-        };
-        st.drainers -= 1;
+        let inner = &self.group.0;
+        let (st, outcome) = inner.gate.pause(LogState::backlog, |mut st| {
+            inner.telemetry.count(Category::Transport, "stream.pauses", 1);
+            inner.announce(&mut st, StreamControl::Paused);
+            // `Paused` goes out before the drain, not after it: the gate
+            // holds across the gap, and the drain re-reads whatever a
+            // racing resume, close or fail did meanwhile.
+            inner.finish(st);
+            inner.gate.lock()
+        });
         if outcome.is_err() {
-            self.inner.telemetry.count(Category::Transport, "stream.pause_aborts", 1);
+            inner.telemetry.count(Category::Transport, "stream.pause_aborts", 1);
         }
-        if st.drainers == 0 && !st.paused {
-            // A resume landed mid-drain: the gate opens only now.
-            st.wake_writers = true;
-        }
-        self.inner.finish(st);
+        inner.finish(st);
         outcome
     }
 
@@ -842,17 +756,17 @@ impl StepWriter {
     /// still in progress, the paused flag clears immediately but the
     /// write gate stays held until that drain finishes.
     pub fn resume(&self) {
-        let mut st = self.inner.state.lock();
-        st.paused = false;
-        self.inner.announce(&mut st, StreamControl::Resumed);
-        st.wake_writers = true;
-        self.inner.finish(st);
+        let inner = &self.group.0;
+        let mut st = inner.gate.lock();
+        st.resume();
+        inner.announce(&mut st, StreamControl::Resumed);
+        inner.finish(st);
     }
 
     /// True while writes are rejected: explicitly paused, or quiescing
     /// because a pause drain is still in progress.
     pub fn is_paused(&self) -> bool {
-        self.inner.state.lock().write_gated()
+        self.group.0.gate.lock().is_paused()
     }
 
     /// Injects an endpoint failure: retained sealed steps and staging
@@ -860,20 +774,18 @@ impl StepWriter {
     /// parties wake with typed errors. Returns the number of global steps
     /// lost (sealed-but-undelivered plus incomplete).
     pub fn fail(&self, reason: &'static str) -> usize {
-        let mut st = self.inner.state.lock();
-        if st.failed.is_some() {
-            return 0;
-        }
-        st.failed = Some(reason);
-        let lost = st.sealed.len() + st.staging.len();
-        let LogState { sealed, retired, .. } = &mut *st;
-        retired.extend(sealed.drain(..));
-        st.staging.clear();
-        self.inner.telemetry.count(Category::Transport, "stream.failed_steps", lost as u64);
-        self.inner.announce(&mut st, StreamControl::Failed { reason });
-        st.wake_writers = true;
-        st.wake_readers = true;
-        self.inner.finish(st);
+        let inner = &self.group.0;
+        let mut st = inner.gate.lock();
+        let discard = |log: &mut LogState| {
+            let lost = log.sealed.len() + log.staging.len();
+            log.retired.extend(log.sealed.drain(..));
+            log.staging.clear();
+            lost
+        };
+        let Some(lost) = st.fail(reason, discard) else { return 0 };
+        inner.telemetry.count(Category::Transport, "stream.failed_steps", lost as u64);
+        inner.announce(&mut st, StreamControl::Failed { reason });
+        inner.finish(st);
         lost
     }
 }
@@ -882,187 +794,141 @@ impl StepWriter {
 /// so a pool of workers pulling through clones divides the stream between
 /// them (the staged channel's work-sharing semantics); independent named
 /// cursors each see the full stream.
+#[derive(Clone)]
 pub struct StreamReader {
-    inner: Arc<Inner>,
-    name: String,
+    cursor: Arc<Attachment>,
 }
 
 impl std::fmt::Debug for StreamReader {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StreamReader").field("name", &self.name).finish_non_exhaustive()
-    }
-}
-
-impl Clone for StreamReader {
-    fn clone(&self) -> StreamReader {
-        let mut st = self.inner.state.lock();
-        if let Some(cursor) = st.cursors.get_mut(&self.name) {
-            cursor.handles += 1;
-        }
-        drop(st);
-        StreamReader { inner: self.inner.clone(), name: self.name.clone() }
-    }
-}
-
-impl Drop for StreamReader {
-    fn drop(&mut self) {
-        let mut st = self.inner.state.lock();
-        let Some(cursor) = st.cursors.get_mut(&self.name) else { return };
-        cursor.handles -= 1;
-        if cursor.handles > 0 {
-            return;
-        }
-        let at = cursor.next;
-        // The cursor stays registered at `at`: the retention gate keeps
-        // holding its steps, and window gating stops (a detached reader
-        // cannot pull, so its window must not wedge the writers).
-        self.inner.announce(&mut st, StreamControl::Detached { reader: self.name.clone(), at });
-        st.wake_writers = true;
-        self.inner.finish(st);
+        f.debug_struct("StreamReader").field("name", &self.name()).finish_non_exhaustive()
     }
 }
 
 impl StreamReader {
     /// The cursor's name.
     pub fn name(&self) -> &str {
-        &self.name
+        &self.cursor.name
     }
 
     /// The log offset of the next step this cursor will consume.
     pub fn position(&self) -> u64 {
-        self.inner.state.lock().cursors.get(&self.name).map_or(0, |c| c.next)
+        let mut st = self.cursor.inner.gate.lock();
+        self.cursor.of(&mut st.cursors).map_or(0, |c| c.next)
     }
 
     /// Sealed steps waiting for this cursor.
     pub fn queued(&self) -> usize {
-        let st = self.inner.state.lock();
+        let mut st = self.cursor.inner.gate.lock();
         let frontier = st.frontier();
-        st.cursors.get(&self.name).map_or(0, |c| frontier.saturating_sub(c.next) as usize)
+        self.cursor.of(&mut st.cursors).map_or(0, |c| frontier.saturating_sub(c.next) as usize)
     }
 
     /// The failure reason, if the engine has failed.
     pub fn failure(&self) -> Option<&'static str> {
-        self.inner.state.lock().failed
+        self.cursor.inner.gate.lock().failure()
     }
 
     /// The engine's time source (deadlines for the timeout pulls live on
     /// this axis).
     pub fn clock(&self) -> Arc<dyn Clock> {
-        self.inner.clock.clone()
+        self.cursor.inner.gate.clock().clone()
     }
 
     /// Unregisters the cursor entirely, releasing its retention hold: the
     /// log may truncate past its position and a later attach under this
-    /// name starts fresh.
+    /// name starts fresh. Clones of this handle are inert from here on:
+    /// their pulls end, and neither they nor this handle's own drop touch
+    /// whatever is registered under the name next.
     pub fn retire(self) {
-        let mut st = self.inner.state.lock();
-        st.cursors.remove(&self.name);
-        self.inner.truncate(&mut st);
-        self.inner.announce(&mut st, StreamControl::Retired { reader: self.name.clone() });
+        let inner = &self.cursor.inner;
+        let mut st = inner.gate.lock();
+        if self.cursor.of(&mut st.cursors).is_none() {
+            return;
+        }
+        st.cursors.remove(self.name());
+        inner.truncate(&mut st);
+        inner.announce(&mut st, StreamControl::Retired { reader: self.name().into() });
         st.wake_writers = true;
-        self.inner.finish(st);
-        // Drop now runs against an unregistered cursor and is a no-op.
+        st.wake_readers = true;
+        inner.finish(st);
     }
 
     /// Takes the next fragment at the cursor, advancing the shared
     /// position. `None` when nothing is sealed at the cursor yet.
-    fn take_fragment(&self, st: &mut LogState) -> Option<(StepMeta, StepData)> {
-        let frontier = st.frontier();
-        let (next, frag_ix) = {
-            let cursor = st.cursors.get(&self.name)?;
-            if cursor.next >= frontier {
-                return None;
-            }
-            (cursor.next, cursor.frag)
+    fn take_fragment(
+        &self,
+        st: &mut Gated<LogState>,
+    ) -> Result<Option<(StepMeta, StepData)>, PullError> {
+        let log: &mut LogState = st;
+        let cursor = self.cursor.of(&mut log.cursors).ok_or(PullError::Closed)?;
+        let Some(global) = log.sealed.get((cursor.next - log.base) as usize) else {
+            return Ok(None);
         };
-        let ix = (next - st.base) as usize;
-        let global = st.sealed.get(ix)?.clone();
-        let frag = global.fragments.get(frag_ix)?.clone();
-        let meta =
-            StepMeta { step: global.index, bytes: frag.payload_bytes(), writer: frag_ix as u32 };
-        let mut advanced = false;
-        if let Some(cursor) = st.cursors.get_mut(&self.name) {
-            cursor.frag += 1;
-            if cursor.frag >= global.fragments.len() {
-                cursor.frag = 0;
-                cursor.next += 1;
-                advanced = true;
-            }
-        }
-        self.inner.telemetry.count(Category::Transport, "stream.delivered", 1);
+        let Some(frag) = global.fragments.get(cursor.frag).cloned() else { return Ok(None) };
+        let meta = StepMeta {
+            step: global.index,
+            bytes: frag.payload_bytes(),
+            writer: cursor.frag as u32,
+        };
+        cursor.frag += 1;
+        let advanced = cursor.frag >= global.fragments.len();
         if advanced {
-            self.inner.cursor_advanced(st);
+            cursor.frag = 0;
+            cursor.next += 1;
         }
-        Some((meta, frag))
+        let inner = &self.cursor.inner;
+        inner.telemetry.count(Category::Transport, "stream.delivered", 1);
+        if advanced {
+            inner.cursor_advanced(st);
+        }
+        Ok(Some((meta, frag)))
     }
 
     /// Takes the whole step at the cursor, advancing past it. Fragments
     /// already consumed via [`StreamReader::pull`] are still part of the
     /// returned step (the step is shared, not re-cut).
-    fn take_step(&self, st: &mut LogState) -> Option<Arc<GlobalStep>> {
-        let frontier = st.frontier();
-        let next = {
-            let cursor = st.cursors.get(&self.name)?;
-            if cursor.next >= frontier {
-                return None;
-            }
-            cursor.next
+    fn take_step(&self, st: &mut Gated<LogState>) -> Result<Option<Arc<GlobalStep>>, PullError> {
+        let log: &mut LogState = st;
+        let cursor = self.cursor.of(&mut log.cursors).ok_or(PullError::Closed)?;
+        let Some(global) = log.sealed.get((cursor.next - log.base) as usize).cloned() else {
+            return Ok(None);
         };
-        let ix = (next - st.base) as usize;
-        let global = st.sealed.get(ix)?.clone();
-        if let Some(cursor) = st.cursors.get_mut(&self.name) {
-            cursor.frag = 0;
-            cursor.next += 1;
-        }
-        self.inner
-            .telemetry
-            .count(Category::Transport, "stream.delivered", global.fragments.len() as u64);
-        self.inner.cursor_advanced(st);
-        Some(global)
-    }
-
-    /// True once the cursor can never produce again: failed, retired, or
-    /// closed with the backlog fully consumed.
-    fn finished(&self, st: &LogState) -> bool {
-        if st.failed.is_some() {
-            return true;
-        }
-        match st.cursors.get(&self.name) {
-            None => true,
-            Some(cursor) => st.closed && cursor.next >= st.frontier(),
-        }
+        cursor.frag = 0;
+        cursor.next += 1;
+        let (inner, delivered) = (&self.cursor.inner, global.fragments.len() as u64);
+        inner.telemetry.count(Category::Transport, "stream.delivered", delivered);
+        inner.cursor_advanced(st);
+        Ok(Some(global))
     }
 
     /// Takes at the cursor with `take`, parking until something seals
-    /// there, the cursor is finished, or `timeout` (one deadline on the
-    /// engine's [`Clock`] for the whole wait) passes.
+    /// there, the cursor can never produce again (failed, retired, or
+    /// closed with the backlog consumed), or `timeout` passes — one
+    /// deadline on the engine's [`Clock`] for the whole wait.
     fn take_blocking<T>(
         &self,
         timeout: Option<Duration>,
-        take: impl Fn(&Self, &mut LogState) -> Option<T>,
+        take: impl Fn(&Self, &mut Gated<LogState>) -> Result<Option<T>, PullError>,
     ) -> Option<T> {
-        let deadline = timeout.map(|t| self.inner.clock.now() + to_sim(t));
-        let mut st = self.inner.state.lock();
-        loop {
-            if let Some(out) = take(self, &mut st) {
-                self.inner.finish(st);
-                return Some(out);
+        let inner = &self.cursor.inner;
+        let deadline = timeout.map(|timeout| inner.gate.deadline(timeout));
+        let attempt = |st: &mut Gated<LogState>| {
+            let out = take(self, st)?;
+            // Park-safety rule. The low-water mark lets a writer parked on
+            // the bound sleep through truncations, and this thread may be
+            // the only one serving the cursors that writer waits for: it
+            // must not go to sleep on a writer the gate would admit. The
+            // gate carries this wake out under the lock, before it parks us.
+            let unserved = out.is_none() && st.writers_parked() > 0;
+            if unserved && !st.is_paused() && !st.window_blocked(inner.cfg.retention) {
+                st.wake_writers = true;
             }
-            if self.finished(&st) {
-                return None;
-            }
-            let slice = match deadline {
-                None => None,
-                Some(deadline) => {
-                    let now = self.inner.clock.now();
-                    if now >= deadline {
-                        return None;
-                    }
-                    Some(self.inner.clock.block_slice(deadline.since(now)))
-                }
-            };
-            self.inner.park_reader(&mut st, slice);
-        }
+            Ok(out)
+        };
+        let (st, out) = inner.gate.take_until(deadline, attempt).ok()?;
+        inner.finish(st);
+        Some(out)
     }
 
     /// Pulls the next fragment (step-major, rank-minor order), blocking
@@ -1092,9 +958,10 @@ impl StreamReader {
 
     /// Attempts to take the next whole sealed step without blocking.
     pub fn try_next_step(&self) -> Option<Arc<GlobalStep>> {
-        let mut st = self.inner.state.lock();
-        let step = self.take_step(&mut st);
-        self.inner.finish(st);
+        let inner = &self.cursor.inner;
+        let mut st = inner.gate.lock();
+        let step = self.take_step(&mut st).ok().flatten();
+        inner.finish(st);
         step
     }
 }
@@ -1114,14 +981,6 @@ impl PullSource for StreamReader {
     fn clock(&self) -> Arc<dyn Clock> {
         StreamReader::clock(self)
     }
-}
-
-fn clamp_u64(ns: u128) -> u64 {
-    ns.min(u64::MAX as u128) as u64
-}
-
-fn to_sim(d: Duration) -> SimDuration {
-    SimDuration::from_nanos(clamp_u64(d.as_nanos()))
 }
 
 #[cfg(test)]
@@ -1330,6 +1189,65 @@ mod tests {
     }
 
     #[test]
+    fn a_dropped_writer_clone_never_closes_and_the_last_drop_closes_once() {
+        let eng = engine(2, 8);
+        let w0 = eng.writer(0);
+        // What `with_rank` got wrong: a handle made and dropped beside a
+        // live one must leave the stream open, and the live one droppable.
+        drop(eng.writer(1));
+        drop(w0.clone());
+        w0.try_write(frag(0, 0)).unwrap();
+        drop(w0);
+        assert_eq!(eng.writer(1).try_write(frag(0, 1)).unwrap_err(), StreamWriteError::Closed);
+    }
+
+    #[test]
+    fn a_stale_clone_of_a_retired_cursor_is_inert() {
+        let eng = engine(1, 8);
+        let w = eng.writer(0);
+        w.try_write(frag(0, 0)).unwrap();
+        let r = eng.reader("a", Attach::Oldest, None).unwrap();
+        let stale = r.clone();
+        r.retire();
+        // (Retiring the only cursor let the log truncate step 0.)
+        let fresh = eng.reader("a", Attach::Oldest, None).unwrap();
+        w.try_write(frag(1, 0)).unwrap();
+        // The stale clone names a cursor that no longer exists, not the
+        // one registered under its name since: it pulls nothing ...
+        assert!(stale.try_next_step().is_none());
+        assert!(stale.next_step().is_none(), "a pull on a retired cursor ends, it does not park");
+        assert_eq!((stale.position(), stale.queued()), (0, 0));
+        assert_eq!(fresh.queued(), 1, "the stale pulls took nothing from the new cursor");
+        // ... and neither cloning nor dropping it detaches the new cursor.
+        drop(stale.clone());
+        drop(stale);
+        assert_eq!(
+            eng.reader("a", Attach::Resume, None).unwrap_err(),
+            AttachError::Busy("a".into()),
+            "the new cursor's handle is still alive"
+        );
+        assert_eq!(fresh.try_next_step().unwrap().index, 1, "and it still reads the log");
+        drop(fresh);
+        drop(eng.reader("a", Attach::Resume, None).unwrap());
+    }
+
+    #[test]
+    fn retiring_a_cursor_ends_the_pull_a_clone_is_parked_in() {
+        within_10s(|| {
+            let eng = engine(1, 8);
+            let _w = eng.writer(0);
+            let r = eng.reader("a", Attach::Oldest, None).unwrap();
+            let parked = r.clone();
+            let puller = std::thread::spawn(move || parked.next_step().map(|s| s.index));
+            while eng.inner.gate.lock().readers_parked() == 0 {
+                std::thread::yield_now();
+            }
+            r.retire();
+            assert_eq!(puller.join().unwrap(), None);
+        });
+    }
+
+    #[test]
     fn pause_drains_the_backlog_and_reports_it() {
         let eng = engine(1, 8);
         let w = eng.writer(0);
@@ -1370,7 +1288,7 @@ mod tests {
     }
 
     fn wait_for_parked_writer(eng: &StreamEngine) {
-        while eng.inner.state.lock().gate_parked == 0 {
+        while eng.inner.gate.lock().writers_parked() == 0 {
             std::thread::yield_now();
         }
     }
@@ -1391,7 +1309,7 @@ mod tests {
             // the write, but nobody wakes the writer for a single slot.
             assert_eq!(r.try_next_step().unwrap().index, 0);
             assert_eq!((eng.retained(), eng.sealed_steps()), (3, 4));
-            assert_eq!(eng.inner.state.lock().gate_parked, 1);
+            assert_eq!(eng.inner.gate.lock().writers_parked(), 1);
             // Two retained is the mark.
             assert_eq!(r.try_next_step().unwrap().index, 1);
             assert_eq!(writer.join().unwrap(), Ok(4));
@@ -1419,7 +1337,7 @@ mod tests {
             clock.advance(SimDuration::from_millis(4));
             assert_eq!(r.try_next_step().unwrap().index, 0);
             assert_eq!((eng.retained(), eng.sealed_steps()), (7, 8));
-            assert_eq!(eng.inner.state.lock().gate_parked, 1);
+            assert_eq!(eng.inner.gate.lock().writers_parked(), 1);
             // The next one took the consumer 5 ms. Seven retained is far
             // above the mark (8 / 2), and the writer is woken all the same.
             clock.advance(SLOW_CONSUMER);

@@ -17,17 +17,17 @@
 //! written by [`adios::BpFileWriter`], so an analysis kernel runs
 //! unchanged in-situ and offline.
 //!
-//! Pause/resume on the writer group follows the transport's corrected
-//! protocol: [`StepWriter::pause`] drains through every attached cursor
-//! and reports aborts as typed [`PauseAborted`] errors, and timeout pulls
-//! charge their whole wait against one deadline on the engine's
-//! injectable [`Clock`].
+//! Pause/resume, close/fail and the timed pulls are not a second copy of
+//! the staged channel's protocol but the same code, [`datatap::gate`]
+//! (DESIGN.md, "One gate"): [`StepWriter::pause`] drains through every
+//! attached cursor and reports aborts as typed [`PauseAborted`] errors,
+//! and timeout pulls charge their whole wait against one deadline on the
+//! engine's injectable [`Clock`].
 
 #![warn(missing_docs)]
 
 mod engine;
 mod source;
-mod sync;
 
 pub use engine::{
     Attach, AttachError, GlobalStep, StepWriter, StreamBuilder, StreamConfig, StreamControl,

@@ -4,7 +4,6 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::thread;
-use std::time::Duration;
 
 use adios::{AttrValue, StepData};
 use datatap::{channel, WriteError};
@@ -49,18 +48,24 @@ fn pause_blocks_concurrent_writers_until_resume() {
     let (w, r) = channel(4);
     w.try_write(StepData::new(0)).unwrap();
 
-    // Pause drains in a helper thread while we pull.
+    // Pause drains in a helper thread while we pull — once the gate has
+    // engaged: the backlog it reports is the one at that instant, and a
+    // pull that got in first would leave it nothing to report.
     let w_pause = w.clone();
     let pauser = thread::spawn(move || w_pause.pause());
-    thread::sleep(Duration::from_millis(10));
+    while !w.is_paused() {
+        thread::yield_now();
+    }
     r.pull().unwrap();
     assert_eq!(pauser.join().unwrap(), Ok(1));
 
-    // All writers now see Paused.
+    // All writers now see Paused, and a blocking write parks until resume.
     assert_eq!(w.try_write(StepData::new(1)).unwrap_err(), WriteError::Paused);
     let w2 = w.clone();
     let blocked = thread::spawn(move || w2.write(StepData::new(2)).map(|m| m.step));
-    thread::sleep(Duration::from_millis(10));
+    while w.parked_writers() == 0 {
+        thread::yield_now();
+    }
     w.resume();
     assert_eq!(blocked.join().unwrap().unwrap(), 2);
 }

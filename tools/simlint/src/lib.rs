@@ -273,10 +273,13 @@ pub fn ruleset_for(rel: &Path) -> Option<RuleSet> {
     // so every rule stays on.
 
     // Engine hot paths: a panic mid-run loses the whole experiment, so
-    // failure must surface as typed errors.
+    // failure must surface as typed errors. The gate is the protocol code
+    // of both transports — it came out of the stream engine and stays
+    // under the rule that covered it there.
     let panic_scope = p.starts_with("crates/sim-core/src/")
         || p.starts_with("crates/simnet/src/")
         || p.starts_with("crates/stream/src/")
+        || p == "crates/datatap/src/gate.rs"
         || p == "crates/iocontainers/src/pipeline.rs"
         || p == "crates/iocontainers/src/policy.rs"
         || p == "crates/iocontainers/src/protocol.rs";
@@ -835,6 +838,13 @@ mod tests {
         // src/ gets the panic class.
         let tests = ruleset_for(Path::new("crates/stream/tests/stream_integration.rs")).unwrap();
         assert!(!tests.panic_path && !tests.thread_spawn);
+        // The engine's pause/drain, close/fail and wait protocol moved into
+        // datatap's gate: it did not leave the panic class by moving, and
+        // the rest of datatap did not enter it.
+        let gate = ruleset_for(Path::new("crates/datatap/src/gate.rs")).unwrap();
+        assert!(gate.panic_path && !gate.thread_spawn && gate.wall_clock && gate.adhoc_rng);
+        let channel = ruleset_for(Path::new("crates/datatap/src/channel.rs")).unwrap();
+        assert!(!channel.panic_path);
     }
 
     #[test]
