@@ -41,7 +41,7 @@ echo "== loom model check: the one gate, under the staged channel and the stream
 # interleavings it explored and fails if the count drops.
 RUSTFLAGS="--cfg loom" cargo test -q -p datatap -p stream --test 'loom_*' -- --nocapture --test-threads=1
 
-echo "== miri: sim-core + simpar + datatap + stream (undefined-behaviour pass) =="
+echo "== miri: sim-core + simpar + datatap + stream + adios (undefined-behaviour pass) =="
 if [[ "${CI_SKIP_MIRI:-0}" == "1" ]]; then
     echo "miri: skipped (CI_SKIP_MIRI=1)"
 elif cargo +nightly miri --version >/dev/null 2>&1; then
@@ -49,6 +49,9 @@ elif cargo +nightly miri --version >/dev/null 2>&1; then
     # The stream engine's unit suite is Miri-friendly (no file I/O);
     # the lib filter keeps the FS-touching source tests out.
     cargo +nightly miri test -q -p stream --lib engine
+    # adios holds the typed-view casts, `aligned_bytes` and the recycling
+    # blob owner; the filters keep the file-writing bpfile/method tests out.
+    cargo +nightly miri test -q -p adios --lib -- bp:: types:: group::
 else
     # Offline containers cannot `rustup component add miri`; the step
     # degrades to a loud skip rather than failing the gate.

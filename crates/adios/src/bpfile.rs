@@ -148,7 +148,12 @@ impl BpFileReader {
         let index_bytes = count
             .checked_mul(24)
             .ok_or(BpFileError::Malformed("index count overflow"))?;
-        if index_offset + 8 + index_bytes + 12 != total {
+        // count, entries, then the trailing index offset and magic.
+        let index_end = index_offset
+            .checked_add(8)
+            .and_then(|n| n.checked_add(index_bytes))
+            .and_then(|n| n.checked_add(12));
+        if index_end != Some(total) {
             return Err(BpFileError::Malformed("index size mismatch"));
         }
         let mut raw = vec![0u8; index_bytes as usize];
@@ -159,7 +164,7 @@ impl BpFileReader {
             let step = buf.get_u64_le();
             let offset = buf.get_u64_le();
             let len = buf.get_u64_le();
-            if offset + len > total {
+            if offset.checked_add(len).is_none_or(|end| end > total) {
                 return Err(BpFileError::Malformed("frame out of range"));
             }
             index.push((step, offset, len));
@@ -309,6 +314,38 @@ mod tests {
             std::fs::write(&path, &full[..cut]).unwrap();
             assert!(BpFileReader::open(&path).is_err(), "cut at {cut} must fail");
         }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A container with no frames and a hand-written index and footer.
+    fn write_footer_only(path: &Path, count: u64, entries: &[(u64, u64, u64)]) {
+        let mut raw = MAGIC.to_vec();
+        raw.extend_from_slice(&count.to_le_bytes());
+        for &(step, offset, len) in entries {
+            for field in [step, offset, len] {
+                raw.extend_from_slice(&field.to_le_bytes());
+            }
+        }
+        raw.extend_from_slice(&4u64.to_le_bytes());
+        raw.extend_from_slice(MAGIC);
+        std::fs::write(path, raw).unwrap();
+    }
+
+    #[test]
+    fn footer_fields_that_overflow_are_malformed() {
+        let path = tmp("overflow");
+        // offset + len wraps to 6, inside the file.
+        write_footer_only(&path, 1, &[(0, u64::MAX - 1, 8)]);
+        assert!(matches!(
+            BpFileReader::open(&path),
+            Err(BpFileError::Malformed("frame out of range"))
+        ));
+        // count * 24 fits a u64; adding the index offset to it does not.
+        write_footer_only(&path, u64::MAX / 24, &[]);
+        assert!(matches!(
+            BpFileReader::open(&path),
+            Err(BpFileError::Malformed("index size mismatch"))
+        ));
         std::fs::remove_file(&path).ok();
     }
 

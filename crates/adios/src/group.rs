@@ -130,7 +130,7 @@ impl<V> SmallMap<V> {
         self.find(key).ok().map(|ix| &self.0[ix].1)
     }
 
-    fn iter(&self) -> impl Iterator<Item = (&str, &V)> {
+    fn iter(&self) -> impl ExactSizeIterator<Item = (&str, &V)> {
         self.0.iter().map(|(k, v)| (k.as_str(), v))
     }
 }
@@ -210,7 +210,7 @@ impl StepData {
     }
 
     /// Iterates recorded values in name order.
-    pub fn values(&self) -> impl Iterator<Item = (&str, &Value)> {
+    pub fn values(&self) -> impl ExactSizeIterator<Item = (&str, &Value)> {
         self.values.iter()
     }
 
@@ -225,7 +225,7 @@ impl StepData {
     }
 
     /// Iterates step attributes in key order.
-    pub fn attrs(&self) -> impl Iterator<Item = (&str, &AttrValue)> {
+    pub fn attrs(&self) -> impl ExactSizeIterator<Item = (&str, &AttrValue)> {
         self.attrs.iter()
     }
 

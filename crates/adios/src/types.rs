@@ -94,11 +94,24 @@ impl Dims {
         Dims { local: vec![n], global: vec![global], offset: vec![offset] }
     }
 
-    /// Number of elements in the local block (1 for scalars).
-    pub fn local_elems(&self) -> u64 {
-        self.local.iter().product()
+    /// Number of elements in the local block (1 for scalars); `None` when
+    /// the product does not fit a `u64` (dims read from a file can say
+    /// anything).
+    pub fn local_elems(&self) -> Option<u64> {
+        self.local.iter().try_fold(1u64, |n, &d| n.checked_mul(d))
+    }
+
+    /// The longest of the three dimension lists.
+    pub(crate) fn rank(&self) -> usize {
+        self.local.len().max(self.global.len()).max(self.offset.len())
     }
 }
+
+/// Longest dimension list a [`Value`] carries. The BP-lite codec writes a
+/// rank as one byte and its decoder refuses longer lists, so the
+/// constructors refuse them too: every `Value` that exists encodes to a
+/// blob that decodes.
+pub(crate) const MAX_RANK: usize = 8;
 
 /// A typed, immutable array value (the payload bytes are shared, so passing
 /// values between pipeline stages never copies the data).
@@ -114,7 +127,8 @@ pub struct Value {
 pub enum ValueError {
     /// Byte length is not `elems * dtype.size()`.
     LengthMismatch {
-        /// Expected byte length.
+        /// Expected byte length (`usize::MAX` when the dimensions' product
+        /// overflows).
         expected: usize,
         /// Actual byte length.
         actual: usize,
@@ -123,6 +137,11 @@ pub enum ValueError {
     TypeMismatch {
         /// The value's actual type.
         actual: DataType,
+    },
+    /// A dimension list is longer than the codec can carry (8 entries).
+    RankTooHigh {
+        /// Length of the longest dimension list.
+        rank: usize,
     },
 }
 
@@ -133,6 +152,9 @@ impl fmt::Display for ValueError {
                 write!(f, "payload is {actual} bytes, dims require {expected}")
             }
             ValueError::TypeMismatch { actual } => write!(f, "value holds {actual} elements"),
+            ValueError::RankTooHigh { rank } => {
+                write!(f, "{rank} dimensions, at most {MAX_RANK} are supported")
+            }
         }
     }
 }
@@ -194,13 +216,23 @@ fn aligned_bytes(src: &[u8]) -> Bytes {
 }
 
 impl Value {
-    /// Builds a value directly from raw bytes, validating the length against
-    /// the dimensions. Misaligned payloads (e.g. views into a decoded blob)
-    /// are copied into an aligned allocation so typed views stay zero-cost.
+    /// Builds a value directly from raw bytes, validating the dimensions'
+    /// rank and the length against them. Misaligned payloads (e.g. views
+    /// into a decoded blob) are copied into an aligned allocation so typed
+    /// views stay zero-cost.
     pub fn from_bytes(dtype: DataType, dims: Dims, data: Bytes) -> Result<Value, ValueError> {
-        let expected = dims.local_elems() as usize * dtype.size();
-        if expected != data.len() {
-            return Err(ValueError::LengthMismatch { expected, actual: data.len() });
+        if dims.rank() > MAX_RANK {
+            return Err(ValueError::RankTooHigh { rank: dims.rank() });
+        }
+        let expected = dims
+            .local_elems()
+            .and_then(|n| usize::try_from(n).ok())
+            .and_then(|n| n.checked_mul(dtype.size()));
+        if expected != Some(data.len()) {
+            return Err(ValueError::LengthMismatch {
+                expected: expected.unwrap_or(usize::MAX),
+                actual: data.len(),
+            });
         }
         let data = if data.as_ptr().align_offset(dtype.size().min(8)) == 0 {
             data
@@ -268,6 +300,33 @@ mod tests {
     }
 
     #[test]
+    fn overflowing_dims_are_a_length_mismatch() {
+        // (1 << 32)² wraps a `u64` product to 0, which an empty payload
+        // would then "match".
+        let dims = Dims { local: vec![1 << 32, 1 << 32], ..Dims::default() };
+        assert_eq!(dims.local_elems(), None);
+        let err = Value::from_bytes(DataType::U8, dims, Bytes::new()).unwrap_err();
+        assert_eq!(err, ValueError::LengthMismatch { expected: usize::MAX, actual: 0 });
+        // The element count fits, the byte count does not.
+        let dims = Dims::local1d(1 << 62);
+        let err = Value::from_bytes(DataType::F64, dims, Bytes::new()).unwrap_err();
+        assert_eq!(err, ValueError::LengthMismatch { expected: usize::MAX, actual: 0 });
+    }
+
+    #[test]
+    fn over_long_dimension_lists_are_refused() {
+        let full = vec![1; MAX_RANK];
+        let ok = Dims { local: full.clone(), global: full.clone(), offset: full };
+        assert!(Value::from_u8(&[7], ok).is_ok());
+        for which in 0..3 {
+            let mut dims = Dims::local1d(1);
+            [&mut dims.local, &mut dims.global, &mut dims.offset][which].resize(MAX_RANK + 1, 1);
+            let err = Value::from_u8(&[7], dims).unwrap_err();
+            assert_eq!(err, ValueError::RankTooHigh { rank: MAX_RANK + 1 });
+        }
+    }
+
+    #[test]
     fn scalar_helpers() {
         assert_eq!(Value::scalar_f64(2.5).as_f64().unwrap(), &[2.5]);
         assert_eq!(Value::scalar_i64(-7).as_i64().unwrap(), &[-7]);
@@ -276,7 +335,7 @@ mod tests {
     #[test]
     fn global_dims_describe_placement() {
         let d = Dims::global1d(100, 1000, 300);
-        assert_eq!(d.local_elems(), 100);
+        assert_eq!(d.local_elems(), Some(100));
         assert_eq!(d.global, vec![1000]);
         assert_eq!(d.offset, vec![300]);
     }
