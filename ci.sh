@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# CI gate: build, tests, clippy, the public-API snapshot, the simlint static
-# pass (plus its JSON artifact), the loom model-check job, a Miri pass over
-# the core crates, the benchmark's self-check (with its frozen lock file)
-# and the asserted examples. Every step must pass; the script stops at the
+# CI gate: build, tests (the threaded runtime's again in release), clippy,
+# the public-API snapshot, the simlint static pass (plus its JSON
+# artifact), the loom model-check job, a Miri pass over the core crates,
+# the benchmark's self-check (with its frozen lock file) and the asserted
+# examples. Every step must pass; the script stops at the
 # first failure.
 #
 # Knobs:
@@ -17,6 +18,12 @@ cargo build --release
 
 echo "== tests (workspace) =="
 cargo test -q --workspace
+
+echo "== threaded runtime tests (release) =="
+# The manager tests need one Bonds worker to fall behind the MD producer,
+# a timing premise that optimised kernels can break while debug builds
+# still pass; run them at the speed the benchmark runs them.
+cargo test -q --release -p iocontainers --lib threaded::
 
 echo "== clippy (workspace, all targets, deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings

@@ -74,14 +74,9 @@ pub fn step_to_snapshot(step: &StepData) -> Option<Snapshot> {
 /// ADIOS step — the component's two declared outputs.
 pub fn bonds_to_step(out: &BondsOutput) -> StepData {
     let mut step = snapshot_to_step(&out.snapshot);
-    let n = out.adjacency.len();
-    let mut offsets: Vec<i32> = Vec::with_capacity(n + 1);
-    let mut neighbors: Vec<i32> = Vec::new();
-    offsets.push(0);
-    for i in 0..n {
-        neighbors.extend(out.adjacency.neighbors(i).iter().map(|&j| j as i32));
-        offsets.push(neighbors.len() as i32);
-    }
+    let (offsets, neighbors) = out.adjacency.csr();
+    let as_i32 = |xs: &[u32]| -> Vec<i32> { xs.iter().map(|&x| x as i32).collect() };
+    let (offsets, neighbors) = (as_i32(offsets), as_i32(neighbors));
     step.write_unchecked(
         "adj_offsets",
         Value::from_i32(&offsets, Dims::local1d(offsets.len() as u64)).expect("length matches"),
@@ -95,27 +90,23 @@ pub fn bonds_to_step(out: &BondsOutput) -> StepData {
     step
 }
 
-/// Decodes Bonds output from an ADIOS step.
+/// Decodes Bonds output from an ADIOS step. Returns `None` if the step
+/// does not carry the schema or its adjacency is not a valid CSR over the
+/// step's atoms (negative, decreasing or overrunning offsets, or neighbor
+/// ids outside the atoms).
 pub fn step_to_bonds(step: &StepData) -> Option<BondsOutput> {
     let snapshot = step_to_snapshot(step)?;
-    let offsets = step.value("adj_offsets")?.as_i32().ok()?;
-    let neighbors = step.value("adj_neighbors")?.as_i32().ok()?;
-    if offsets.len() != snapshot.atom_count() + 1 {
-        return None;
-    }
-    let lists: Vec<Vec<u32>> = offsets
-        .windows(2)
-        .map(|w| neighbors[w[0] as usize..w[1] as usize].iter().map(|&j| j as u32).collect())
-        .collect();
+    let as_u32 = |xs: &[i32]| -> Option<Vec<u32>> {
+        xs.iter().map(|&x| u32::try_from(x).ok()).collect()
+    };
+    let offsets = as_u32(step.value("adj_offsets")?.as_i32().ok()?)?;
+    let neighbors = as_u32(step.value("adj_neighbors")?.as_i32().ok()?)?;
+    let adjacency = Adjacency::from_csr(offsets, neighbors, snapshot.atom_count())?;
     let cutoff = match step.attr("bond_cutoff") {
         Some(AttrValue::Float(x)) => *x,
         _ => 0.0,
     };
-    Some(BondsOutput {
-        snapshot,
-        adjacency: Arc::new(Adjacency::from_lists(&lists)),
-        cutoff,
-    })
+    Some(BondsOutput { snapshot, adjacency: Arc::new(adjacency), cutoff })
 }
 
 /// Encodes CSym output as an ADIOS step (per-atom CSP plus the verdict).
@@ -157,6 +148,65 @@ mod tests {
         assert_eq!(*back.adjacency, *out.adjacency);
         assert_eq!(back.cutoff, out.cutoff);
         assert_eq!(*back.snapshot.pos, *snap.pos);
+    }
+
+    /// A four-atom Bonds step with its adjacency arrays replaced.
+    fn bonds_step_with(offsets: &[i32], neighbors: &[i32]) -> StepData {
+        let snap = MdEngine::new(MdConfig { cells: (1, 1, 1), ..MdConfig::default() }).run_epoch(1);
+        let mut step = bonds_to_step(&Bonds::default().compute(&snap));
+        step.write_unchecked(
+            "adj_offsets",
+            Value::from_i32(offsets, Dims::local1d(offsets.len() as u64)).expect("length matches"),
+        );
+        step.write_unchecked(
+            "adj_neighbors",
+            Value::from_i32(neighbors, Dims::local1d(neighbors.len() as u64))
+                .expect("length matches"),
+        );
+        step
+    }
+
+    /// The helper's step decodes when its arrays are well formed, so each
+    /// rejection below is down to the one malformation it introduces.
+    #[test]
+    fn well_formed_adjacency_decodes() {
+        // Four atoms: 0–1 and 2–3 bonded.
+        let back = step_to_bonds(&bonds_step_with(&[0, 1, 2, 3, 4], &[1, 0, 3, 2]))
+            .expect("valid adjacency");
+        assert_eq!(back.adjacency.neighbors(1), &[0]);
+        assert_eq!(back.adjacency.neighbors(3), &[2]);
+    }
+
+    #[test]
+    fn decreasing_offsets_are_rejected() {
+        assert!(step_to_bonds(&bonds_step_with(&[0, 2, 1, 3, 4], &[1, 0, 3, 2])).is_none());
+    }
+
+    #[test]
+    fn negative_offsets_are_rejected() {
+        assert!(step_to_bonds(&bonds_step_with(&[0, -1, 2, 3, 4], &[1, 0, 3, 2])).is_none());
+        assert!(step_to_bonds(&bonds_step_with(&[-1, 1, 2, 3, 4], &[1, 0, 3, 2])).is_none());
+    }
+
+    #[test]
+    fn offsets_past_the_neighbors_are_rejected() {
+        assert!(step_to_bonds(&bonds_step_with(&[0, 1, 2, 3, 9], &[1, 0, 3, 2])).is_none());
+        // Short of the end leaves neighbors no row owns.
+        assert!(step_to_bonds(&bonds_step_with(&[0, 1, 2, 3, 3], &[1, 0, 3, 2])).is_none());
+        // A first offset other than 0 does the same at the front.
+        assert!(step_to_bonds(&bonds_step_with(&[1, 1, 2, 3, 4], &[1, 0, 3, 2])).is_none());
+    }
+
+    #[test]
+    fn out_of_range_neighbor_ids_are_rejected() {
+        assert!(step_to_bonds(&bonds_step_with(&[0, 1, 2, 3, 4], &[1, 0, 4, 2])).is_none());
+        assert!(step_to_bonds(&bonds_step_with(&[0, 1, 2, 3, 4], &[1, -1, 3, 2])).is_none());
+    }
+
+    #[test]
+    fn offsets_for_another_atom_count_are_rejected() {
+        assert!(step_to_bonds(&bonds_step_with(&[0, 1, 2, 3], &[1, 0, 3])).is_none());
+        assert!(step_to_bonds(&bonds_step_with(&[], &[])).is_none());
     }
 
     #[test]

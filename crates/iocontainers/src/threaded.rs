@@ -712,13 +712,18 @@ mod tests {
         }
     }
 
+    /// Premise: one Bonds worker falls behind the MD producer. The input
+    /// sets that up, not the kernel's speed: the n² Bonds cost grows as
+    /// atoms², the MD step's as atoms, so a large enough crystal backs the
+    /// queue up for any kernel. 12³ cells (6,912 atoms) give the
+    /// Bonds-to-MD cost ratio that 8³ gave the 3× slower branchy kernel.
     #[test]
     fn manager_grows_bonds_under_backlog() {
         // One slow bonds worker (n² kernel on a larger crystal) with a
         // fast producer: the staging queue backs up and the manager adds
         // replicas.
         let cfg = ThreadedConfig {
-            md: MdConfig { cells: (8, 8, 8), ..MdConfig::default() },
+            md: MdConfig { cells: (12, 12, 12), ..MdConfig::default() },
             steps: 10,
             md_steps_per_epoch: 1,
             bonds_use_n2: true,
@@ -778,12 +783,18 @@ mod offline_tests {
     /// exhausts its replica budget, takes Bonds offline, and the leftover
     /// steps land in a provenance-labeled BP container that post-hoc
     /// analysis can replay.
+    ///
+    /// Premise: a single Bonds worker stays behind the MD producer for the
+    /// manager's five saturated checks. The crystal size sets that up, as
+    /// for `manager_grows_bonds_under_backlog`: n² Bonds against O(n) MD,
+    /// and 13³ cells (8,788 atoms) give the ratio 9³ gave the 3× slower
+    /// branchy kernel.
     #[test]
     fn saturated_bonds_goes_offline_with_provenance() {
         let dir = std::env::temp_dir()
             .join(format!("ioc-threaded-offline-{}", std::process::id()));
         let cfg = ThreadedConfig {
-            md: MdConfig { cells: (9, 9, 9), ..MdConfig::default() },
+            md: MdConfig { cells: (13, 13, 13), ..MdConfig::default() },
             steps: 12,
             md_steps_per_epoch: 1,
             bonds_use_n2: true,   // slow kernel
@@ -825,7 +836,9 @@ mod offline_tests {
 
     /// An unwritable offline directory must not panic or hang the run: the
     /// drainer reports the failure, keeps counting steps through so every
-    /// stage still terminates, and the report carries the error.
+    /// stage still terminates, and the report carries the error. Same
+    /// premise and crystal as `saturated_bonds_goes_offline_with_provenance`:
+    /// Bonds must fall behind for the manager to prune it at all.
     #[test]
     fn unwritable_offline_dir_is_reported_not_fatal() {
         // A *file* where the directory should go makes create_dir_all fail
@@ -834,7 +847,7 @@ mod offline_tests {
             .join(format!("ioc-threaded-blocker-{}", std::process::id()));
         std::fs::write(&blocker, b"in the way").expect("test setup");
         let cfg = ThreadedConfig {
-            md: MdConfig { cells: (9, 9, 9), ..MdConfig::default() },
+            md: MdConfig { cells: (13, 13, 13), ..MdConfig::default() },
             steps: 12,
             md_steps_per_epoch: 1,
             bonds_use_n2: true,

@@ -50,16 +50,8 @@ proptest! {
         let k = Bonds { cutoff: 1.4, threads: 1 };
         let fast = k.compute(&snap);
         let slow = k.compute_n2(&snap);
-        let sorted = |adj: &smartpointer::Adjacency| -> Vec<Vec<u32>> {
-            (0..adj.len())
-                .map(|i| {
-                    let mut v = adj.neighbors(i).to_vec();
-                    v.sort_unstable();
-                    v
-                })
-                .collect()
-        };
-        prop_assert_eq!(sorted(&fast.adjacency), sorted(&slow.adjacency));
+        // Both kernels emit ascending rows: the CSR itself must agree.
+        prop_assert_eq!(&*fast.adjacency, &*slow.adjacency);
     }
 
     /// Adjacency is always symmetric and never self-referential.
