@@ -93,4 +93,7 @@ cargo run --release --example multi_tenant
 echo "== stream fan-out example (N-to-M streaming, restart rejoin, file parity) =="
 cargo run --release --example stream_fanout
 
+echo "== post-processing example (BP container round trip, provenance-owed replay) =="
+cargo run --release --example post_processing
+
 echo "ci: all gates passed"

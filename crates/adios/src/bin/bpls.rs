@@ -5,7 +5,7 @@
 //! ```
 //!
 //! Works on both single-step `.bp` blobs (written by `FileMethod`) and
-//! multi-step container files (written by `BpFileMethod`).
+//! multi-step container files (written by `BpFileWriter`).
 
 use std::collections::BTreeMap;
 
@@ -90,6 +90,9 @@ fn list_file(path: &str) -> Result<(), Box<dyn std::error::Error>> {
     match BpFileReader::open(path) {
         Ok(mut reader) => {
             println!("  BP container, {} step(s)", reader.len());
+            if reader.torn_bytes() > 0 {
+                println!("  {} torn byte(s) after the last whole frame", reader.torn_bytes());
+            }
             let mut table = AttrTable::new();
             for ix in 0..reader.len() {
                 let step = reader.read_at(ix)?;

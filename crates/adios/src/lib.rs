@@ -39,7 +39,7 @@ mod group;
 mod method;
 mod types;
 
-pub use bpfile::{BpFileMethod, BpFileReader, BpFileWriter};
+pub use bpfile::{BpFileReader, BpFileWriter};
 pub use group::{AttrValue, Group, StepData, VarDecl, WriteError};
 pub use method::{FileMethod, MemMethod, MemSink, Method, NullMethod, Output};
 pub use types::{DataType, Dims, Value, ValueError};

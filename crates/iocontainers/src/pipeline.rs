@@ -19,15 +19,12 @@
 //!   still be observed, as the paper's figures do.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use sim_core::{shared, Shared, Sim, SimDuration, SimTime};
 use simnet::{NodeId, StagingArea};
 use simtel::{Category, Telemetry};
 
 use datatap::TransportCosts;
-use evpath::{Event, Overlay, StoneId};
 use simfault::{Fault, LossSampler};
 
 use d2t::{run_transaction, FaultPlan, TxnConfig};
@@ -86,10 +83,10 @@ pub struct PipelineRun {
     /// Containers still in the crashed state at the end (by name); empty
     /// when recovery resolved every injected failure.
     pub failed: Vec<&'static str>,
-    /// Heartbeats the global manager received over the EVPath control
-    /// overlay (zero when the fault plan is empty: heartbeating is only
-    /// scheduled for fault-injected runs, keeping clean runs' schedules
-    /// untouched).
+    /// Heartbeats the global manager received from local managers, over
+    /// every tenant (zero when the fault plan is empty: heartbeating is
+    /// only scheduled for fault-injected runs, keeping clean runs'
+    /// schedules untouched).
     pub heartbeats_delivered: u64,
     /// Restart attempts spent per container (by name).
     pub restarts: Vec<(&'static str, u32)>,
@@ -246,11 +243,8 @@ struct World {
     /// Invariant violations the run survived; surfaced as
     /// [`PipelineRun::errors`].
     errors: Vec<String>,
-    /// Control overlay carrying heartbeats to the global manager, with its
-    /// terminal stone (created only for fault-injected runs).
-    hb_overlay: Option<(Overlay, StoneId)>,
-    /// Heartbeats delivered at the overlay's terminal stone.
-    hb_delivered: Arc<AtomicU64>,
+    /// Heartbeats the global manager has received.
+    heartbeats: u64,
     /// Reusable buffers for the periodic policy tick (see
     /// [`PolicyScratch`]); taken out with `mem::take` for the duration of
     /// a tick and returned with its heap blocks intact.
@@ -362,8 +356,7 @@ impl World {
             heartbeat_last: vec![SimTime::ZERO; n],
             declared_failed: vec![false; n],
             restart_attempts: vec![0; n],
-            hb_overlay: None,
-            hb_delivered: Arc::new(AtomicU64::new(0)),
+            heartbeats: 0,
             scratch: PolicyScratch::default(),
             errors,
         }
@@ -372,14 +365,20 @@ impl World {
     /// Writers feeding container `ix`: a tenant's Helper is fed by its
     /// application partition's output ranks (one writer per 32 simulation
     /// nodes, the aggregation tree's leaf fan-in); everything else by the
-    /// upstream container's replicas.
+    /// replicas of the containers its spec `depends_on` in the same
+    /// tenant (CNA by Bonds, Viz by Helper).
     fn upstream_writers(&self, ix: usize) -> u32 {
         let t = &self.tenants[self.tenant_of[ix]];
         if ix == t.base + HELPER {
-            (t.wl.sim_nodes / 32).max(1)
-        } else {
-            self.containers.get(ix - 1).map_or(1, |c| c.units().max(1))
+            return (t.wl.sim_nodes / 32).max(1);
         }
+        let feeders = &self.containers[ix].spec.depends_on;
+        self.tenant_slice(t.base, t.count)
+            .iter()
+            .filter(|c| feeders.contains(&c.spec.name))
+            .map(|c| c.units().max(1))
+            .sum::<u32>()
+            .max(1)
     }
 
     /// Leases `count` spare nodes, downgrading an accounting violation
@@ -648,21 +647,6 @@ pub fn run_experiment_in(sim: &mut Sim, ex: Experiment) -> ExperimentRun {
             .collect()
     };
     if !fault_tenants.is_empty() {
-        {
-            // Heartbeats are mirrored over an EVPath overlay into the
-            // global manager's terminal stone, as the paper's control
-            // plane does; the overlay feeds nothing back into the
-            // schedule (its counter is read only after the run drains).
-            let mut w = world.borrow_mut();
-            let overlay = Overlay::new("manager-control");
-            let delivered = w.hb_delivered.clone();
-            let sink = overlay.add_stone(evpath::Action::Terminal(Box::new(move |ev: Event| {
-                if ev.is::<Heartbeat>() {
-                    delivered.fetch_add(1, Ordering::Relaxed);
-                }
-            })));
-            w.hb_overlay = Some((overlay, sink));
-        }
         for &t in &fault_tenants {
             let plan = world.borrow().tenants[t].wl.faults.clone();
             install_pipeline_faults(sim, &world, t, &plan);
@@ -678,7 +662,7 @@ pub fn run_experiment_in(sim: &mut Sim, ex: Experiment) -> ExperimentRun {
         {
             let w = world.clone();
             // The detector evaluates just after each heartbeat round has
-            // been delivered over the control overlay.
+            // been delivered to the global manager.
             sim.schedule_at_named(
                 "fault.detect",
                 SimTime::ZERO + hb_every + detector_lag,
@@ -709,14 +693,8 @@ pub fn run_experiment_in(sim: &mut Sim, ex: Experiment) -> ExperimentRun {
         sim.clear_event_hook();
     }
 
-    // Drain the heartbeat overlay before reading its delivery counter.
-    let hb_overlay = world.borrow_mut().hb_overlay.take();
-    if let Some((overlay, _)) = hb_overlay {
-        overlay.flush();
-        overlay.shutdown();
-    }
     let mut w = world.borrow_mut();
-    let heartbeats_delivered = w.hb_delivered.load(Ordering::Relaxed);
+    let heartbeats_delivered = w.heartbeats;
     let errors = w.errors.clone();
     let mut tenants = Vec::with_capacity(w.tenants.len());
     for t in 0..w.tenants.len() {
@@ -1282,53 +1260,43 @@ fn perform_rebalance(
             // the control plane (a separate event context: it involves
             // only manager traffic) and its duration and outcome are
             // charged here.
-            let txn = {
+            let (txn_duration, aborted) = {
                 let mut w = world.borrow_mut();
-                if w.cluster.policy.transactional_trades {
-                    let trade_ix = w.trade_count;
-                    w.trade_count += 1;
-                    let inject = w.cluster.trade_faults.contains(&trade_ix);
-                    let writers = w.containers[donor.0 as usize].units().max(1);
-                    let readers = w.containers[target.0 as usize].units().max(1);
-                    let mut txn_sim = Sim::new(w.cluster.seed ^ (0xD2D2 + trade_ix as u64));
-                    let net = Network::new(NetworkConfig::portals_xt4());
-                    let cfg = TxnConfig { writers, readers, ..TxnConfig::default() };
-                    let mut faults = FaultPlan::default();
-                    if inject {
-                        faults.drop_writer_votes.insert(0);
-                    }
-                    let report = run_transaction(&mut txn_sim, &net, &cfg, &faults);
-                    Some((report.duration, report.decision == d2t::Decision::Abort))
-                } else {
-                    None
+                let trade_ix = w.trade_count;
+                w.trade_count += 1;
+                let inject = w.cluster.trade_faults.contains(&trade_ix);
+                let writers = w.containers[donor.0 as usize].units().max(1);
+                let readers = w.containers[target.0 as usize].units().max(1);
+                let mut txn_sim = Sim::new(w.cluster.seed ^ (0xD2D2 + trade_ix as u64));
+                let net = Network::new(NetworkConfig::portals_xt4());
+                let cfg = TxnConfig { writers, readers, ..TxnConfig::default() };
+                let mut faults = FaultPlan::default();
+                if inject {
+                    faults.drop_writer_votes.insert(0);
                 }
+                let report = run_transaction(&mut txn_sim, &net, &cfg, &faults);
+                (report.duration, report.decision == d2t::Decision::Abort)
             };
-            if let Some((txn_duration, aborted)) = txn {
-                if aborted {
-                    // Roll back: nothing moved; retry after the cooldown.
-                    let w2 = world.clone();
-                    sim.schedule_in_named("ioc.trade_txn", txn_duration, move |sim| {
-                        let mut w = w2.borrow_mut();
-                        let at = sim.now();
-                        let t = w.tenant_of[target.0 as usize];
-                        w.tenants[t].log.record_action(
-                            at,
-                            Action::TradeAborted { donor, recipient: target },
-                        );
-                        w.action_in_flight = false;
-                        w.last_action_at = at;
-                    });
-                    return;
-                }
+            let w2 = world.clone();
+            if aborted {
+                // Roll back: nothing moved; retry after the cooldown.
+                sim.schedule_in_named("ioc.trade_txn", txn_duration, move |sim| {
+                    let mut w = w2.borrow_mut();
+                    let at = sim.now();
+                    let t = w.tenant_of[target.0 as usize];
+                    w.tenants[t]
+                        .log
+                        .record_action(at, Action::TradeAborted { donor, recipient: target });
+                    w.action_in_flight = false;
+                    w.last_action_at = at;
+                });
+            } else {
                 // Committed: proceed with the physical trade after the
                 // transaction completes.
-                let w2 = world.clone();
                 sim.schedule_in_named("ioc.trade_txn", txn_duration, move |sim| {
                     start_steal(sim, &w2, target, donor, k, lease_spare);
                 });
-                return;
             }
-            start_steal(sim, world, target, donor, k, lease_spare);
         }
         None => start_increase(sim, world, target, lease_spare, ResourceSource::Spare),
     }
@@ -1493,13 +1461,6 @@ fn perform_offline(sim: &mut Sim, world: &W, target: ContainerId) {
 // has events, so a clean run's schedule (and trace hash) is bit-identical to
 // a build without fault support.
 // ---------------------------------------------------------------------------
-
-/// A heartbeat from a container's local manager, carried over the EVPath
-/// control overlay to the global manager's terminal stone.
-struct Heartbeat {
-    #[allow(dead_code)]
-    container: u32,
-}
 
 /// True once every tenant is terminal: rejected tenants trivially, queued
 /// tenants never (the detector keeps running so admission can still act),
@@ -1693,8 +1654,7 @@ fn stall_container(sim: &mut Sim, world: &W, ix: usize, lasts: SimDuration) {
 
 /// One heartbeat round: every live (online or resizing) container's local
 /// manager beats; the beat lands in the global manager's table and is
-/// mirrored over the EVPath overlay. Reschedules itself until the run
-/// drains.
+/// counted. Reschedules itself until the run drains.
 fn heartbeat_tick(sim: &mut Sim, world: &W) {
     let now = sim.now();
     let (done, every) = {
@@ -1704,10 +1664,7 @@ fn heartbeat_tick(sim: &mut Sim, world: &W) {
             for ix in 0..w.containers.len() {
                 if w.containers[ix].is_online() {
                     w.heartbeat_last[ix] = now;
-                    let container = w.containers[ix].id.0;
-                    if let Some((overlay, sink)) = &w.hb_overlay {
-                        overlay.submit(*sink, Event::new(Heartbeat { container }));
-                    }
+                    w.heartbeats += 1;
                 }
             }
         }
@@ -2108,7 +2065,7 @@ mod fault_tests {
         assert_eq!(run.log.e2e_series().len() as u64, steps);
         assert!(run.failed.is_empty(), "recovery resolved the crash");
         assert!(run.offline.is_empty(), "no offline fallback was needed");
-        assert!(run.heartbeats_delivered > 0, "heartbeats flowed over the overlay");
+        assert_eq!(run.heartbeats_delivered, 363, "one beat per live container per round");
         let bonds_restarts =
             run.restarts.iter().find(|(n, _)| *n == "Bonds").expect("bonds exists").1;
         assert_eq!(bonds_restarts, 1);
@@ -2247,6 +2204,24 @@ mod viz_tests {
     use crate::experiment::{Directive, VizConfig};
     use crate::monitor::Action;
     use crate::policy::PolicyConfig;
+
+    /// Resize, restart and steal durations count the writers that feed a
+    /// container. In a crack + Viz world CNA is fed by Bonds, not by CSym
+    /// before it, and Viz by Helper, not by CNA.
+    #[test]
+    fn upstream_writers_follow_depends_on() {
+        let mut cfg = ExperimentConfig::fig7();
+        cfg.staging_nodes = 16;
+        cfg.crack_at_step = Some(4);
+        cfg.viz = Some(VizConfig { nodes: 3, active_from_start: true });
+        let w = World::new(Experiment::single(cfg));
+        let units: Vec<u32> = w.containers.iter().map(|c| c.units()).collect();
+        assert_eq!(units, [8, 1, 4, 0, 3], "Helper, Bonds, CSym, CNA, Viz");
+        assert_eq!(w.upstream_writers(BONDS), 8);
+        assert_eq!(w.upstream_writers(CSYM), 1);
+        assert_eq!(w.upstream_writers(CNA), 1, "CNA is fed by Bonds");
+        assert_eq!(w.upstream_writers(VIZ), 8, "Viz is fed by Helper");
+    }
 
     /// The paper's introduction scenario: analytics needing resources
     /// steals from the visualization container when it does not need them.
@@ -2397,7 +2372,6 @@ mod trade_tests {
     #[test]
     fn committed_trade_behaves_like_fig7() {
         let cfg = ExperimentConfig::fig7();
-        assert!(cfg.policy.transactional_trades);
         let run = run_pipeline(cfg.clone());
         assert!(run.log.actions().iter().any(|(_, a)| matches!(a, Action::Decrease { .. })));
         assert!(run.log.actions().iter().any(|(_, a)| matches!(a, Action::Increase { .. })));
@@ -2453,20 +2427,5 @@ mod trade_tests {
         let helper =
             run.final_units.iter().find(|(n, _)| *n == "Helper").expect("helper").1;
         assert_eq!(helper, 8);
-    }
-
-    /// Non-transactional mode still works (the pre-D2T behaviour).
-    #[test]
-    fn plain_trades_still_work() {
-        let mut cfg = ExperimentConfig::fig7();
-        cfg.policy.transactional_trades = false;
-        cfg.trade_faults = vec![0]; // ignored without transactions
-        let run = run_pipeline(cfg);
-        assert!(run.log.actions().iter().any(|(_, a)| matches!(a, Action::Increase { .. })));
-        assert!(run
-            .log
-            .actions()
-            .iter()
-            .all(|(_, a)| !matches!(a, Action::TradeAborted { .. })));
     }
 }

@@ -29,11 +29,6 @@ pub struct PolicyConfig {
     /// Queue fill fraction beyond which an unfixable bottleneck is taken
     /// offline (the "act before the pipeline blocks" trigger).
     pub offline_queue_frac: f64,
-    /// Guard resource trades with a D2T control transaction: the trade
-    /// either fully commits (donor decreased *and* recipient increased) or
-    /// aborts with nothing moved — never the inconsistent in-between state
-    /// the paper's Section III-A(5) warns about.
-    pub transactional_trades: bool,
 }
 
 impl Default for PolicyConfig {
@@ -43,7 +38,6 @@ impl Default for PolicyConfig {
             window: 3,
             cooldown: SimDuration::from_secs(15),
             offline_queue_frac: 0.5,
-            transactional_trades: true,
         }
     }
 }

@@ -22,13 +22,14 @@
 //! replica, resume — with aborted drains surfacing as errors instead of
 //! success-shaped counts.
 
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use datatap::{channel, PauseAborted};
 use evpath::{Action as EvAction, Event, Overlay};
-use stream::{Attach, StreamConfig, StreamEngine};
+use stream::{Attach, StreamConfig, StreamEngine, StreamReader};
 use mdsim::{MdConfig, MdEngine};
 use sim_core::stats::Welford;
 use smartpointer::{split_snapshot, AggregationTree, Bonds, CSym, Cna};
@@ -72,7 +73,7 @@ pub struct ThreadedConfig {
     /// When the manager cannot grow Bonds further and the backlog
     /// persists, take Bonds offline and stage the remaining steps into a
     /// provenance-labeled BP container file in this directory.
-    pub offline_dir: Option<std::path::PathBuf>,
+    pub offline_dir: Option<PathBuf>,
 }
 
 impl Default for ThreadedConfig {
@@ -164,10 +165,16 @@ pub struct ThreadedReport {
     pub monitor_events: u64,
     /// FCC fraction reported by CNA's last step, if CNA ran.
     pub last_fcc_fraction: Option<f64>,
-    /// Steps written to disk with provenance after Bonds went offline.
+    /// Steps readable from the offline container after Bonds went
+    /// offline.
     pub offline_steps: u64,
-    /// The provenance-labeled container file, when the offline path fired.
-    pub offline_path: Option<std::path::PathBuf>,
+    /// Steps the offline drainer took from the stream but could not write
+    /// (the container could not be created, or an append failed). Each
+    /// failure is also in [`Self::errors`].
+    pub lost_steps: u64,
+    /// The provenance-labeled container file, once the offline path
+    /// created it.
+    pub offline_path: Option<PathBuf>,
     /// Failures worker threads hit and survived (offline-staging I/O
     /// errors, leaked state). Empty on a clean run.
     pub errors: Vec<String>,
@@ -177,7 +184,10 @@ struct Shared {
     crack_step: Mutex<Option<u64>>,
     bonds_done: AtomicU64,
     bonds_offline: AtomicBool,
-    offline_written: AtomicU64,
+    /// Steps the offline drainer took off the stream, written or lost.
+    drained: AtomicU64,
+    lost: AtomicU64,
+    offline_path: Mutex<Option<PathBuf>>,
     latency: [Mutex<Welford>; 4],
     actions: Mutex<Vec<ThreadedAction>>,
     last_fcc: Mutex<Option<f64>>,
@@ -199,7 +209,9 @@ pub fn run_threaded(cfg: ThreadedConfig) -> ThreadedReport {
         crack_step: Mutex::new(None),
         bonds_done: AtomicU64::new(0),
         bonds_offline: AtomicBool::new(false),
-        offline_written: AtomicU64::new(0),
+        drained: AtomicU64::new(0),
+        lost: AtomicU64::new(0),
+        offline_path: Mutex::new(None),
         latency: [
             Mutex::new(Welford::new()),
             Mutex::new(Welford::new()),
@@ -234,7 +246,6 @@ pub fn run_threaded(cfg: ThreadedConfig) -> ThreadedReport {
     let (w_routed, r_routed) = channel(cfg.queue_capacity);
     let retire_tokens = Arc::new(AtomicU64::new(0));
 
-    let offline_path: Arc<Mutex<Option<std::path::PathBuf>>> = Arc::new(Mutex::new(None));
     let steps = cfg.steps;
     std::thread::scope(|scope| {
         // --- Application (LAMMPS stand-in). -----------------------------
@@ -313,9 +324,7 @@ pub fn run_threaded(cfg: ThreadedConfig) -> ThreadedReport {
                 let retire_tokens = retire_tokens.clone();
                 scope.spawn(move || {
                     loop {
-                        if shared.bonds_done.load(Ordering::Acquire)
-                            + shared.offline_written.load(Ordering::Acquire)
-                            >= cfg.steps
+                        if shared.bonds_done.load(Ordering::Acquire) >= cfg.steps
                             || shared.bonds_offline.load(Ordering::Acquire)
                         {
                             break;
@@ -374,7 +383,7 @@ pub fn run_threaded(cfg: ThreadedConfig) -> ThreadedReport {
                 // the offline drainer.
                 let mut pulled = 0u64;
                 let mut cracked = false;
-                while pulled + shared.offline_written.load(Ordering::Acquire) < steps {
+                while pulled + shared.drained.load(Ordering::Acquire) < steps {
                     let Some((_, step)) = r_routed.pull_timeout(Duration::from_millis(20))
                     else {
                         continue;
@@ -406,75 +415,6 @@ pub fn run_threaded(cfg: ThreadedConfig) -> ThreadedReport {
             });
         }
 
-        // --- Offline drainer: stages leftover steps with provenance. ------
-        if let Some(dir) = cfg.offline_dir.clone() {
-            let cfg = cfg.clone();
-            let shared = shared.clone();
-            let r_drain = r_bonds.clone();
-            let path_slot = offline_path.clone();
-            scope.spawn(move || {
-                // Wait for the offline signal (or completion).
-                loop {
-                    if shared.bonds_offline.load(Ordering::Acquire) {
-                        break;
-                    }
-                    if shared.bonds_done.load(Ordering::Acquire) >= cfg.steps {
-                        return;
-                    }
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                // I/O failures here must not panic the scope — and must not
-                // stop the drain either: the other stages terminate on the
-                // `bonds_done + offline_written` counter, so a drainer that
-                // exits early would leave Helper blocked on a full staging
-                // queue forever. On error we record it, drop the writer, and
-                // keep counting steps through so the run still completes.
-                let record = |msg: String| shared.errors.lock().unwrap().push(msg);
-                let path = dir.join("offline-staged.bp");
-                let mut writer = match std::fs::create_dir_all(&dir)
-                    .map_err(|e| format!("offline drainer: create {}: {e}", dir.display()))
-                    .and_then(|()| {
-                        adios::BpFileWriter::create(&path).map_err(|e| {
-                            format!("offline drainer: create {}: {e}", path.display())
-                        })
-                    }) {
-                    Ok(w) => Some(w),
-                    Err(msg) => {
-                        record(msg);
-                        None
-                    }
-                };
-                let prov = crate::provenance::Provenance::from_split(
-                    &["Helper"],
-                    &["Bonds", "CSym"],
-                );
-                while shared.bonds_done.load(Ordering::Acquire)
-                    + shared.offline_written.load(Ordering::Acquire)
-                    < cfg.steps
-                {
-                    let Some((_, mut step)) =
-                        r_drain.pull_timeout(Duration::from_millis(20))
-                    else {
-                        continue;
-                    };
-                    prov.stamp(&mut step);
-                    if let Some(w) = writer.as_mut() {
-                        if let Err(e) = w.append("atoms", &step) {
-                            record(format!("offline drainer: append step: {e}"));
-                            writer = None;
-                        }
-                    }
-                    shared.offline_written.fetch_add(1, Ordering::AcqRel);
-                }
-                if let Some(w) = writer {
-                    match w.finalize() {
-                        Ok(final_path) => *path_slot.lock().unwrap() = Some(final_path),
-                        Err(e) => record(format!("offline drainer: finalize: {e}")),
-                    }
-                }
-            });
-        }
-
         // --- Manager: the increase operation on backlog. ------------------
         if cfg.manage {
             let cfg = cfg.clone();
@@ -484,15 +424,12 @@ pub fn run_threaded(cfg: ThreadedConfig) -> ThreadedReport {
             let spawn_bonds_worker = spawn_bonds_worker.clone();
             let retire_tokens = retire_tokens.clone();
             let w_manage = w_bonds.clone();
+            let r_drain = r_bonds.clone();
             scope.spawn(move || {
                 let mut saturated_checks = 0u32;
                 let mut idle_checks = 0u32;
                 loop {
-                    if shared.bonds_done.load(Ordering::Acquire)
-                        + shared.offline_written.load(Ordering::Acquire)
-                        >= cfg.steps
-                        || shared.bonds_offline.load(Ordering::Acquire)
-                    {
+                    if shared.bonds_done.load(Ordering::Acquire) >= cfg.steps {
                         break;
                     }
                     let queued = r_stats.queued();
@@ -508,7 +445,7 @@ pub fn run_threaded(cfg: ThreadedConfig) -> ThreadedReport {
                                 .lock()
                                 .unwrap()
                                 .push(ThreadedAction::IncreaseBonds { workers: workers + 1 });
-                        } else if cfg.offline_dir.is_some() {
+                        } else if let Some(dir) = &cfg.offline_dir {
                             saturated_checks += 1;
                             if saturated_checks >= 5 {
                                 // No more resources: take Bonds offline and
@@ -522,6 +459,10 @@ pub fn run_threaded(cfg: ThreadedConfig) -> ThreadedReport {
                                     .lock()
                                     .unwrap()
                                     .push(ThreadedAction::OfflineBonds { completed: done });
+                                let (dir, shared) = (dir.clone(), shared.clone());
+                                scope.spawn(move || {
+                                    drain_offline(&dir, cfg.steps, &shared, &r_drain)
+                                });
                                 break;
                             }
                         }
@@ -584,9 +525,10 @@ pub fn run_threaded(cfg: ThreadedConfig) -> ThreadedReport {
         shared.latency[2].lock().unwrap().count(),
         shared.latency[3].lock().unwrap().count(),
     ];
-    let final_offline_path = offline_path.lock().unwrap().take();
     let mean_latency_s = [mean(0), mean(1), mean(2), mean(3)];
     let crack_detected_at = *shared.crack_step.lock().unwrap();
+    let offline_path = shared.offline_path.lock().unwrap().take();
+    let lost_steps = shared.lost.load(Ordering::Acquire);
     let last_fcc_fraction = *shared.last_fcc.lock().unwrap();
     let actions = std::mem::take(&mut *shared.actions.lock().unwrap());
     let mut errors = std::mem::take(&mut *shared.errors.lock().unwrap());
@@ -601,9 +543,57 @@ pub fn run_threaded(cfg: ThreadedConfig) -> ThreadedReport {
         mean_latency_s,
         monitor_events,
         last_fcc_fraction,
-        offline_steps: shared.offline_written.load(Ordering::Acquire),
-        offline_path: final_offline_path,
+        offline_steps: shared.drained.load(Ordering::Acquire) - lost_steps,
+        lost_steps,
+        offline_path,
         errors,
+    }
+}
+
+/// The offline drainer, spawned when the manager takes Bonds offline:
+/// stamps every step left in the Bonds stream with provenance and appends
+/// it to a BP container in `dir`.
+///
+/// I/O failures must not panic the scope, and must not stop the drain
+/// either: the other stages terminate on `drained`, so a drainer that
+/// exits early would leave Helper blocked on a full staging queue forever.
+/// A step that cannot be written counts as lost. A failure is recorded in
+/// `errors` and drops the writer, so the file holds exactly the steps not
+/// lost: an append torn by the failure is past the last whole frame.
+fn drain_offline(dir: &Path, steps: u64, shared: &Shared, r_drain: &StreamReader) {
+    let record = |msg: String| shared.errors.lock().unwrap().push(msg);
+    let path = dir.join("offline-staged.bp");
+    let mut writer =
+        match std::fs::create_dir_all(dir).and_then(|()| adios::BpFileWriter::create(&path)) {
+            Ok(w) => {
+                *shared.offline_path.lock().unwrap() = Some(path);
+                Some(w)
+            }
+            Err(e) => {
+                record(format!("offline drainer: create {}: {e}", path.display()));
+                None
+            }
+        };
+    let prov = crate::provenance::Provenance::from_split(&["Helper"], &["Bonds", "CSym"]);
+    while shared.bonds_done.load(Ordering::Acquire) + shared.drained.load(Ordering::Acquire)
+        < steps
+    {
+        let Some((_, mut step)) = r_drain.pull_timeout(Duration::from_millis(20)) else {
+            continue;
+        };
+        prov.stamp(&mut step);
+        let written = writer.as_mut().map(|w| w.append("atoms", &step));
+        if let Some(Err(e)) = &written {
+            record(format!("offline drainer: append step {}: {e}", step.step()));
+            writer = None;
+        }
+        if !matches!(written, Some(Ok(()))) {
+            shared.lost.fetch_add(1, Ordering::AcqRel);
+        }
+        shared.drained.fetch_add(1, Ordering::AcqRel);
+    }
+    if let Some(Err(e)) = writer.map(adios::BpFileWriter::finalize) {
+        record(format!("offline drainer: finalize: {e}"));
     }
 }
 
@@ -813,6 +803,7 @@ mod offline_tests {
             report.actions
         );
         assert!(report.offline_steps > 0, "steps must be staged to disk");
+        assert_eq!(report.lost_steps, 0);
         assert_eq!(
             report.stage_steps[1] + report.offline_steps,
             12,
@@ -870,8 +861,9 @@ mod offline_tests {
             report.errors
         );
         assert!(report.offline_path.is_none(), "no container could be written");
+        assert_eq!(report.offline_steps, 0, "nothing reached a file");
         assert_eq!(
-            report.stage_steps[1] + report.offline_steps,
+            report.stage_steps[1] + report.lost_steps,
             12,
             "the drain still completes so no stage deadlocks"
         );

@@ -1,11 +1,11 @@
 //! Deterministic fault injection and manager-driven failure recovery.
 //!
 //! A Fig. 7-style managed run loses its Bonds container mid-flight. The
-//! local managers emit heartbeats over the EVPath control overlay; the
-//! global manager notices the missed beats, fences the failed container,
-//! and restarts it on spare staging nodes — or, when no spares remain,
-//! falls back to generalized offline staging so data keeps flowing to disk
-//! with its processing provenance. Either way: zero lost steps.
+//! local managers emit heartbeats to the global manager, which notices the
+//! missed beats, fences the failed container, and restarts it on spare
+//! staging nodes — or, when no spares remain, falls back to generalized
+//! offline staging so data keeps flowing to disk with its processing
+//! provenance. Either way: zero lost steps.
 //!
 //! ```text
 //! cargo run --release --example fault_recovery
@@ -58,7 +58,7 @@ fn main() {
     assert!(run.failed.is_empty(), "no container may end the run failed");
     assert!(run.offline.is_empty(), "restart made offline fallback unnecessary");
     assert_eq!(run.log.e2e_series().len() as u64, steps, "zero lost steps");
-    assert!(run.heartbeats_delivered > 0, "heartbeats flowed over the overlay");
+    assert!(run.heartbeats_delivered > 0, "heartbeats reached the global manager");
     let worst = run.log.e2e_series().max_value().unwrap_or(f64::INFINITY);
     assert!(worst < 120.0, "e2e latency stayed bounded through the outage");
     println!(

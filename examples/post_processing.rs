@@ -41,6 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- offline phase: replay the owed analytics ----------------------
     println!("post-processing pass:");
     let mut reader = BpFileReader::open(&path)?;
+    assert_eq!((reader.len(), reader.torn_bytes()), (6, 0), "every staged step reads back");
     let mut tracker = FragmentTracker::new();
     for ix in 0..reader.len() {
         let stored = reader.read_at(ix)?;
