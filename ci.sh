@@ -93,6 +93,9 @@ cargo run --release --example multi_tenant
 echo "== stream fan-out example (N-to-M streaming, restart rejoin, file parity) =="
 cargo run --release --example stream_fanout
 
+echo "== crack detection example (threaded runtime, CSym-to-CNA branch, asserts the crack) =="
+cargo run --release --example crack_detection
+
 echo "== post-processing example (BP container round trip, provenance-owed replay) =="
 cargo run --release --example post_processing
 

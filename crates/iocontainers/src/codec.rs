@@ -42,7 +42,7 @@ pub fn snapshot_to_step(snap: &Snapshot) -> StepData {
 }
 
 /// Decodes a snapshot from an ADIOS step. Returns `None` if the step does
-/// not carry the atoms schema.
+/// not carry the atoms schema, or its `box` does not hold exactly 3 values.
 pub fn step_to_snapshot(step: &StepData) -> Option<Snapshot> {
     let ids: Vec<u64> =
         step.value("id")?.as_i64().ok()?.iter().map(|&i| i as u64).collect();
@@ -51,7 +51,7 @@ pub fn step_to_snapshot(step: &StepData) -> Option<Snapshot> {
         return None;
     }
     let pos: Vec<[f32; 3]> = flat.chunks_exact(3).map(|c| [c[0], c[1], c[2]]).collect();
-    let b = step.value("box")?.as_f64().ok()?;
+    let box_len: [f64; 3] = step.value("box")?.as_f64().ok()?.try_into().ok()?;
     let md_step = match step.attr("md_step") {
         Some(AttrValue::Int(i)) => *i as u64,
         _ => 0,
@@ -63,7 +63,7 @@ pub fn step_to_snapshot(step: &StepData) -> Option<Snapshot> {
     Some(Snapshot {
         step: step.step(),
         md_step,
-        box_len: [b[0], b[1], b[2]],
+        box_len,
         ids: Arc::new(ids),
         pos: Arc::new(pos),
         strain,
@@ -213,6 +213,36 @@ mod tests {
     fn empty_step_is_rejected() {
         assert!(step_to_snapshot(&StepData::new(0)).is_none());
         assert!(step_to_bonds(&StepData::new(0)).is_none());
+    }
+
+    /// A step whose `box` holds `len` values in place of the 3 it should.
+    fn step_with_box_len(len: usize) -> StepData {
+        let snap = MdEngine::new(MdConfig { cells: (1, 1, 1), ..MdConfig::default() }).run_epoch(1);
+        let mut step = bonds_to_step(&Bonds::default().compute(&snap));
+        let b = vec![snap.box_len[0]; len];
+        let b = Value::from_f64(&b, Dims::local1d(len as u64)).expect("length matches");
+        step.write_unchecked("box", b);
+        step
+    }
+
+    #[test]
+    fn empty_box_is_rejected() {
+        assert!(step_to_snapshot(&step_with_box_len(0)).is_none());
+        assert!(step_to_bonds(&step_with_box_len(0)).is_none());
+    }
+
+    #[test]
+    fn one_value_box_is_rejected() {
+        assert!(step_to_snapshot(&step_with_box_len(1)).is_none());
+        assert!(step_to_bonds(&step_with_box_len(1)).is_none());
+    }
+
+    #[test]
+    fn four_value_box_is_rejected() {
+        assert!(step_to_snapshot(&step_with_box_len(4)).is_none());
+        assert!(step_to_bonds(&step_with_box_len(4)).is_none());
+        // The helper changes nothing else: with 3 values the step decodes.
+        assert!(step_to_bonds(&step_with_box_len(3)).is_some());
     }
 
     #[test]

@@ -14,20 +14,26 @@
 //! can be left behind in a retired stage's queue.
 //!
 //! The Helper → Bonds edge rides the step-streaming engine
-//! ([`stream::StreamEngine`]) rather than a raw staged channel: Helper is
-//! a one-rank writer group sealing merged steps into a bounded log, the
-//! Bonds worker pool shares one named cursor (handle clones divide the
-//! stream), and the manager's *decrease* operation uses the engine's
-//! typed pause protocol — pause, drain through the cursor, retire a
-//! replica, resume — with aborted drains surfacing as errors instead of
-//! success-shaped counts.
+//! ([`stream::StreamEngine`]): Helper is a one-rank writer group sealing
+//! merged steps into a bounded log, and the Bonds replicas divide the
+//! stream by pulling through one handle on one named cursor. The manager's
+//! *decrease* is a retire token alone: the next replica to reach its pull
+//! claims it and exits, and the cursor keeps the backlog for the others.
+//!
+//! Stages end when their input closes, never on a poll. Helper ends with
+//! the application's last step and owns the stream's only writer handle,
+//! so its return closes the stream; the replicas and the drainer drain it;
+//! the routed queue closes once they have, and the analysis consumer
+//! drains it and ends. The manager checks the backlog every 10 ms while
+//! Helper runs and exits as soon as Helper returns: the application has
+//! stopped writing, so there is nothing left to protect.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use datatap::{channel, PauseAborted};
+use datatap::channel;
 use evpath::{Action as EvAction, Event, Overlay};
 use stream::{Attach, StreamConfig, StreamEngine, StreamReader};
 use mdsim::{MdConfig, MdEngine};
@@ -67,8 +73,9 @@ pub struct ThreadedConfig {
     /// Enable the managing thread (increase-on-backlog).
     pub manage: bool,
     /// Enable the manager's decrease path: when the Bonds stream sits
-    /// idle with more than one replica, pause the writer group, drain the
-    /// log, retire a replica, and resume.
+    /// idle with more than one replica, hand out a retire token. The next
+    /// replica to reach its pull exits; the shared cursor keeps any
+    /// backlog for the others.
     pub decrease: bool,
     /// When the manager cannot grow Bonds further and the backlog
     /// persists, take Bonds offline and stage the remaining steps into a
@@ -118,8 +125,8 @@ pub enum ThreadedAction {
         /// Worker count after the action.
         workers: usize,
     },
-    /// The manager paused the stream, drained it, and retired a Bonds
-    /// round-robin worker.
+    /// The manager handed out a retire token: the next Bonds round-robin
+    /// worker to reach its pull exits.
     DecreaseBonds {
         /// Worker count after the action.
         workers: usize,
@@ -176,13 +183,14 @@ pub struct ThreadedReport {
     /// created it.
     pub offline_path: Option<PathBuf>,
     /// Failures worker threads hit and survived (offline-staging I/O
-    /// errors, leaked state). Empty on a clean run.
+    /// errors). Empty on a clean run.
     pub errors: Vec<String>,
 }
 
+/// What the stage threads report into; they borrow it for the run.
+#[derive(Default)]
 struct Shared {
     crack_step: Mutex<Option<u64>>,
-    bonds_done: AtomicU64,
     bonds_offline: AtomicBool,
     /// Steps the offline drainer took off the stream, written or lost.
     drained: AtomicU64,
@@ -194,34 +202,34 @@ struct Shared {
     errors: Mutex<Vec<String>>,
 }
 
+impl Shared {
+    fn act(&self, action: ThreadedAction) {
+        self.actions.lock().unwrap().push(action);
+    }
+}
+
 const STAGE_NAMES: [&str; 4] = ["Helper", "Bonds", "CSym", "CNA"];
 
-fn observe(shared: &Shared, monitor: &evpath::OverlaySender, sink: evpath::StoneId, sample: StageSample) {
-    shared.latency[sample.stage].lock().unwrap().add(sample.latency.as_secs_f64());
-    monitor.submit(sink, Event::new(sample));
+/// Records `stage`'s latency on `step`, timed from `t0`, and reports it to
+/// the global manager.
+fn observe(
+    shared: &Shared,
+    monitor: &evpath::OverlaySender,
+    sink: evpath::StoneId,
+    stage: usize,
+    step: u64,
+    t0: Instant,
+) {
+    let latency = t0.elapsed();
+    shared.latency[stage].lock().unwrap().add(latency.as_secs_f64());
+    monitor.submit(sink, Event::new(StageSample { stage, step, latency }));
 }
 
 /// Runs the full pipeline on real threads. Blocks until every stage
 /// drains.
 pub fn run_threaded(cfg: ThreadedConfig) -> ThreadedReport {
     assert!(cfg.initial_bonds_workers >= 1 && cfg.ranks >= 1 && cfg.steps >= 1);
-    let shared = Arc::new(Shared {
-        crack_step: Mutex::new(None),
-        bonds_done: AtomicU64::new(0),
-        bonds_offline: AtomicBool::new(false),
-        drained: AtomicU64::new(0),
-        lost: AtomicU64::new(0),
-        offline_path: Mutex::new(None),
-        latency: [
-            Mutex::new(Welford::new()),
-            Mutex::new(Welford::new()),
-            Mutex::new(Welford::new()),
-            Mutex::new(Welford::new()),
-        ],
-        actions: Mutex::new(Vec::new()),
-        last_fcc: Mutex::new(None),
-        errors: Mutex::new(Vec::new()),
-    });
+    let shared = Shared::default();
 
     // Global-manager monitoring overlay: every stage reports here.
     let overlay = Overlay::new("global-manager");
@@ -234,8 +242,9 @@ pub fn run_threaded(cfg: ThreadedConfig) -> ThreadedReport {
 
     // Staged channels between containers; the Helper → Bonds edge rides
     // the step-streaming engine (a one-rank writer group over a bounded
-    // log) so the worker pool shares a named cursor and the manager can
-    // use the typed pause protocol for the decrease operation.
+    // log) so the worker pool shares a named cursor. `w_bonds` is the
+    // stream's only writer handle: Helper owns it, and its drop closes
+    // the stream.
     let (w_chunks, r_chunks) = channel(cfg.queue_capacity * cfg.ranks.max(1));
     let bonds_stream =
         StreamEngine::new(StreamConfig { writers: 1, retention: cfg.queue_capacity });
@@ -244,323 +253,213 @@ pub fn run_threaded(cfg: ThreadedConfig) -> ThreadedReport {
         .reader("bonds", Attach::Oldest, None)
         .expect("fresh engine has no cursor named 'bonds'");
     let (w_routed, r_routed) = channel(cfg.queue_capacity);
-    let retire_tokens = Arc::new(AtomicU64::new(0));
+    let retire_tokens = AtomicU64::new(0);
+    // Helper holds the only sender: its return ends the manager's wait.
+    let (helper_alive, helper_gone) = mpsc::channel::<()>();
 
-    let steps = cfg.steps;
-    std::thread::scope(|scope| {
-        // --- Application (LAMMPS stand-in). -----------------------------
-        {
-            let cfg = cfg.clone();
-            scope.spawn(move || {
-                let mut md = MdEngine::new(cfg.md.clone());
-                for _ in 0..cfg.steps {
-                    let snap = md.run_epoch(cfg.md_steps_per_epoch);
-                    for (rank, chunk) in
-                        split_snapshot(&snap, cfg.ranks).into_iter().enumerate()
-                    {
-                        let mut step = codec::snapshot_to_step(&chunk);
-                        step.set_attr("rank", adios::AttrValue::Int(rank as i64));
-                        // Blocking write: a full staging buffer blocks the
-                        // application, exactly as on the machine.
-                        if w_chunks.write(step).is_err() {
-                            return;
-                        }
-                    }
-                }
-            });
-        }
-
-        // --- Helper: the aggregation tree. -------------------------------
-        {
-            let cfg = cfg.clone();
-            let shared = shared.clone();
-            let monitor = monitor.clone();
-            let w_bonds = w_bonds.clone();
-            scope.spawn(move || {
-                let tree = AggregationTree::new(cfg.fan_in.max(2));
-                let mut done = 0u64;
-                let mut pending: Vec<mdsim::Snapshot> = Vec::with_capacity(cfg.ranks);
-                while done < cfg.steps {
-                    let Some((_, step)) = r_chunks.pull() else { break };
-                    let t0 = Instant::now();
-                    if let Some(chunk) = codec::step_to_snapshot(&step) {
-                        pending.push(chunk);
-                    }
-                    if pending.len() == cfg.ranks {
-                        let merged = tree.aggregate(std::mem::take(&mut pending));
-                        let out = codec::snapshot_to_step(&merged);
-                        let step_ix = merged.step;
-                        if w_bonds.write(out).is_err() {
-                            break;
-                        }
-                        done += 1;
-                        observe(
-                            &shared,
-                            &monitor,
-                            sink,
-                            StageSample { stage: 0, step: step_ix, latency: t0.elapsed() },
-                        );
-                    }
-                }
-            });
-        }
-
-        // --- Bonds: a growable round-robin worker pool. -------------------
-        // `scope` can be captured by the manager thread so the increase
-        // operation spawns real replica threads at runtime.
-        let spawn_bonds_worker = {
-            let cfg = cfg.clone();
-            let shared = shared.clone();
-            let monitor = monitor.clone();
-            let r_bonds = r_bonds.clone();
-            let w_routed = w_routed.clone();
-            let retire_tokens = retire_tokens.clone();
-            move || {
-                let cfg = cfg.clone();
-                let shared = shared.clone();
-                let monitor = monitor.clone();
-                let r_bonds = r_bonds.clone();
-                let w_routed = w_routed.clone();
-                let retire_tokens = retire_tokens.clone();
-                scope.spawn(move || {
-                    loop {
-                        if shared.bonds_done.load(Ordering::Acquire) >= cfg.steps
-                            || shared.bonds_offline.load(Ordering::Acquire)
-                        {
-                            break;
-                        }
-                        // Decrease: a pending retire token means the
-                        // manager paused and drained the stream so one
-                        // replica can exit without stranding a step.
-                        if retire_tokens
-                            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |t| {
-                                t.checked_sub(1)
-                            })
-                            .is_ok()
-                        {
-                            break;
-                        }
-                        let Some((_, step)) =
-                            r_bonds.pull_timeout(Duration::from_millis(20))
-                        else {
-                            continue;
-                        };
-                        let t0 = Instant::now();
-                        let Some(snap) = codec::step_to_snapshot(&step) else { continue };
-                        let out = if cfg.bonds_use_n2 {
-                            cfg.bonds.compute_n2(&snap)
-                        } else {
-                            cfg.bonds.compute(&snap)
-                        };
-                        let encoded = codec::bonds_to_step(&out);
-                        if w_routed.write(encoded).is_err() {
-                            break;
-                        }
-                        shared.bonds_done.fetch_add(1, Ordering::AcqRel);
-                        observe(
-                            &shared,
-                            &monitor,
-                            sink,
-                            StageSample { stage: 1, step: snap.step, latency: t0.elapsed() },
-                        );
-                    }
-                });
-            }
-        };
-        let worker_count = Arc::new(AtomicU64::new(0));
-        for _ in 0..cfg.initial_bonds_workers {
-            spawn_bonds_worker();
-            worker_count.fetch_add(1, Ordering::Relaxed);
-        }
-
-        // --- Analysis: CSym until it detects the break, CNA after it. -----
-        {
-            let cfg = cfg.clone();
-            let shared = shared.clone();
-            let monitor = monitor.clone();
-            scope.spawn(move || {
-                // Every step Bonds completes arrives here; the rest go to
-                // the offline drainer.
-                let mut pulled = 0u64;
+    {
+        let (cfg, shared, monitor, retire_tokens) = (&cfg, &shared, &monitor, &retire_tokens);
+        let (r_bonds, w_routed, r_routed) = (&r_bonds, &w_routed, &r_routed);
+        std::thread::scope(|outer| {
+            // --- Analysis: CSym until it detects the break, CNA after it.
+            // Every step Bonds completes arrives here; the routed queue
+            // closes once the inner scope has joined every thread.
+            outer.spawn(move || {
                 let mut cracked = false;
-                while pulled + shared.drained.load(Ordering::Acquire) < steps {
-                    let Some((_, step)) = r_routed.pull_timeout(Duration::from_millis(20))
-                    else {
-                        continue;
-                    };
-                    pulled += 1;
+                while let Some((_, step)) = r_routed.pull() {
                     let t0 = Instant::now();
                     let Some(bonds) = codec::step_to_bonds(&step) else { continue };
-                    let sample =
-                        |stage, step| StageSample { stage, step, latency: t0.elapsed() };
                     if cracked {
                         let out = cfg.cna.compute(&bonds);
                         *shared.last_fcc.lock().unwrap() = Some(out.fcc_fraction);
-                        observe(&shared, &monitor, sink, sample(3, out.step));
+                        observe(shared, monitor, sink, 3, out.step, t0);
                     } else {
                         let out = cfg.csym.compute(&bonds);
-                        observe(&shared, &monitor, sink, sample(2, out.step));
+                        observe(shared, monitor, sink, 2, out.step, t0);
                         if out.break_detected {
                             // Dynamic branch: CSym retires, CNA takes over.
                             cracked = true;
                             *shared.crack_step.lock().unwrap() = Some(out.step);
-                            shared
-                                .actions
-                                .lock()
-                                .unwrap()
-                                .push(ThreadedAction::Branch { at_step: out.step });
+                            shared.act(ThreadedAction::Branch { at_step: out.step });
                         }
                     }
                 }
             });
-        }
 
-        // --- Manager: the increase operation on backlog. ------------------
-        if cfg.manage {
-            let cfg = cfg.clone();
-            let shared = shared.clone();
-            let worker_count = worker_count.clone();
-            let r_stats = r_bonds.clone();
-            let spawn_bonds_worker = spawn_bonds_worker.clone();
-            let retire_tokens = retire_tokens.clone();
-            let w_manage = w_bonds.clone();
-            let r_drain = r_bonds.clone();
-            scope.spawn(move || {
-                let mut saturated_checks = 0u32;
-                let mut idle_checks = 0u32;
-                loop {
-                    if shared.bonds_done.load(Ordering::Acquire) >= cfg.steps {
-                        break;
-                    }
-                    let queued = r_stats.queued();
-                    let workers = worker_count.load(Ordering::Relaxed) as usize;
-                    if queued > cfg.queue_capacity / 2 {
-                        if workers < cfg.max_bonds_workers {
-                            // The increase operation: spawn a round-robin
-                            // replica on the shared staged channel.
-                            spawn_bonds_worker();
-                            worker_count.fetch_add(1, Ordering::Relaxed);
-                            shared
-                                .actions
-                                .lock()
-                                .unwrap()
-                                .push(ThreadedAction::IncreaseBonds { workers: workers + 1 });
-                        } else if let Some(dir) = &cfg.offline_dir {
-                            saturated_checks += 1;
-                            if saturated_checks >= 5 {
-                                // No more resources: take Bonds offline and
-                                // stage the remaining steps to disk with
-                                // provenance, exactly as the 1024-node
-                                // scenario does.
-                                let done = shared.bonds_done.load(Ordering::Acquire);
-                                shared.bonds_offline.store(true, Ordering::Release);
-                                shared
-                                    .actions
-                                    .lock()
-                                    .unwrap()
-                                    .push(ThreadedAction::OfflineBonds { completed: done });
-                                let (dir, shared) = (dir.clone(), shared.clone());
-                                scope.spawn(move || {
-                                    drain_offline(&dir, cfg.steps, &shared, &r_drain)
-                                });
-                                break;
+            std::thread::scope(|scope| {
+                // --- Application (LAMMPS stand-in). -------------------------
+                scope.spawn(move || {
+                    let mut md = MdEngine::new(cfg.md.clone());
+                    for _ in 0..cfg.steps {
+                        let snap = md.run_epoch(cfg.md_steps_per_epoch);
+                        for (rank, chunk) in
+                            split_snapshot(&snap, cfg.ranks).into_iter().enumerate()
+                        {
+                            let mut step = codec::snapshot_to_step(&chunk);
+                            step.set_attr("rank", adios::AttrValue::Int(rank as i64));
+                            // Blocking write: a full staging buffer blocks
+                            // the application, exactly as on the machine.
+                            if w_chunks.write(step).is_err() {
+                                return;
                             }
                         }
-                    } else {
-                        saturated_checks = 0;
-                        if cfg.decrease && queued == 0 && workers > 1 {
-                            idle_checks += 1;
-                            if idle_checks >= 5 {
-                                idle_checks = 0;
-                                // The decrease operation, on the paper's
-                                // pause → drain → unlink → resume
-                                // protocol. The typed pause outcome
-                                // distinguishes a completed drain from an
-                                // abort: only a clean drain retires a
-                                // replica.
-                                match w_manage.pause() {
-                                    Ok(_drained) => {
-                                        retire_tokens.fetch_add(1, Ordering::AcqRel);
-                                        worker_count.fetch_sub(1, Ordering::Relaxed);
-                                        shared.actions.lock().unwrap().push(
-                                            ThreadedAction::DecreaseBonds {
-                                                workers: workers - 1,
-                                            },
-                                        );
-                                    }
-                                    Err(PauseAborted::Failed(reason)) => {
-                                        shared.errors.lock().unwrap().push(format!(
-                                            "manager: decrease pause aborted: {reason}"
-                                        ));
-                                    }
-                                    Err(PauseAborted::Closed { .. }) => {
-                                        w_manage.resume();
+                    }
+                });
+
+                // --- Helper: the aggregation tree. ---------------------------
+                scope.spawn(move || {
+                    let _alive = helper_alive;
+                    let tree = AggregationTree::new(cfg.fan_in.max(2));
+                    let mut done = 0u64;
+                    let mut pending: Vec<mdsim::Snapshot> = Vec::with_capacity(cfg.ranks);
+                    while done < cfg.steps {
+                        let Some((_, step)) = r_chunks.pull() else { break };
+                        let t0 = Instant::now();
+                        if let Some(chunk) = codec::step_to_snapshot(&step) {
+                            pending.push(chunk);
+                        }
+                        if pending.len() == cfg.ranks {
+                            let merged = tree.aggregate(std::mem::take(&mut pending));
+                            let out = codec::snapshot_to_step(&merged);
+                            if w_bonds.write(out).is_err() {
+                                break;
+                            }
+                            done += 1;
+                            observe(shared, monitor, sink, 0, merged.step, t0);
+                        }
+                    }
+                });
+
+                // --- Bonds: a growable round-robin worker pool. ---------------
+                // The manager calls this too, so the increase operation
+                // spawns real replica threads at runtime.
+                let spawn_bonds_worker = move || {
+                    scope.spawn(move || {
+                        // A replica leaves before its next pull when Bonds
+                        // went offline or it claims a retire token, and
+                        // otherwise ends with the stream.
+                        let leave = || {
+                            shared.bonds_offline.load(Ordering::Acquire)
+                                || retire_tokens
+                                    .fetch_update(Ordering::AcqRel, Ordering::Acquire, |t| {
+                                        t.checked_sub(1)
+                                    })
+                                    .is_ok()
+                        };
+                        while !leave() {
+                            let Some((_, step)) = r_bonds.pull() else { break };
+                            let t0 = Instant::now();
+                            let Some(snap) = codec::step_to_snapshot(&step) else { continue };
+                            let out = if cfg.bonds_use_n2 {
+                                cfg.bonds.compute_n2(&snap)
+                            } else {
+                                cfg.bonds.compute(&snap)
+                            };
+                            if w_routed.write(codec::bonds_to_step(&out)).is_err() {
+                                break;
+                            }
+                            observe(shared, monitor, sink, 1, snap.step, t0);
+                        }
+                    });
+                };
+                for _ in 0..cfg.initial_bonds_workers {
+                    spawn_bonds_worker();
+                }
+
+                // --- Manager: increase, decrease and offline on the backlog.
+                if cfg.manage {
+                    scope.spawn(move || {
+                        let mut workers = cfg.initial_bonds_workers;
+                        let (mut saturated_checks, mut idle_checks) = (0u32, 0u32);
+                        while let Err(mpsc::RecvTimeoutError::Timeout) =
+                            helper_gone.recv_timeout(Duration::from_millis(10))
+                        {
+                            let queued = r_bonds.queued();
+                            if queued > cfg.queue_capacity / 2 {
+                                if workers < cfg.max_bonds_workers {
+                                    // The increase operation: spawn a
+                                    // round-robin replica on the shared cursor.
+                                    spawn_bonds_worker();
+                                    workers += 1;
+                                    shared.act(ThreadedAction::IncreaseBonds { workers });
+                                } else if let Some(dir) = &cfg.offline_dir {
+                                    saturated_checks += 1;
+                                    if saturated_checks >= 5 {
+                                        // No more resources: take Bonds
+                                        // offline and stage the remaining
+                                        // steps to disk with provenance,
+                                        // exactly as the 1024-node scenario
+                                        // does.
+                                        let completed = shared.latency[1].lock().unwrap().count();
+                                        shared.bonds_offline.store(true, Ordering::Release);
+                                        shared.act(ThreadedAction::OfflineBonds { completed });
+                                        drain_offline(dir, shared, r_bonds);
                                         break;
                                     }
                                 }
-                                w_manage.resume();
+                            } else {
+                                saturated_checks = 0;
+                                if cfg.decrease && queued == 0 && workers > 1 {
+                                    idle_checks += 1;
+                                    if idle_checks >= 5 {
+                                        idle_checks = 0;
+                                        // The decrease operation: a retire
+                                        // token alone. Replicas share one
+                                        // cursor, so whatever is queued
+                                        // stays there for the others.
+                                        retire_tokens.fetch_add(1, Ordering::AcqRel);
+                                        workers -= 1;
+                                        shared.act(ThreadedAction::DecreaseBonds { workers });
+                                    }
+                                } else {
+                                    idle_checks = 0;
+                                }
                             }
-                        } else {
-                            idle_checks = 0;
                         }
-                    }
-                    std::thread::sleep(Duration::from_millis(10));
+                    });
                 }
             });
-        }
-    });
+            r_routed.close();
+        });
+    }
 
     overlay.flush();
     let monitor_events = events.load(Ordering::Relaxed);
     overlay.shutdown();
 
-    // Read results through the shared handle rather than unwrapping the
-    // Arc: every spawn joined at the end of the scope above, so nothing
-    // races these reads — and a leaked clone degrades to a reported error
-    // instead of a panic after an otherwise-successful run.
-    let mean = |ix: usize| shared.latency[ix].lock().unwrap().mean();
-    let stage_steps = [
-        shared.latency[0].lock().unwrap().count(),
-        shared.latency[1].lock().unwrap().count(),
-        shared.latency[2].lock().unwrap().count(),
-        shared.latency[3].lock().unwrap().count(),
-    ];
-    let mean_latency_s = [mean(0), mean(1), mean(2), mean(3)];
-    let crack_detected_at = *shared.crack_step.lock().unwrap();
-    let offline_path = shared.offline_path.lock().unwrap().take();
-    let lost_steps = shared.lost.load(Ordering::Acquire);
-    let last_fcc_fraction = *shared.last_fcc.lock().unwrap();
-    let actions = std::mem::take(&mut *shared.actions.lock().unwrap());
-    let mut errors = std::mem::take(&mut *shared.errors.lock().unwrap());
-    if Arc::strong_count(&shared) != 1 {
-        errors.push("a worker thread leaked a shared-state handle".to_string());
-    }
+    // Every thread joined the scope above, which re-raises any panic: the
+    // state is ours again, and no lock in it is poisoned.
+    let Shared { crack_step, drained, lost, offline_path, latency, actions, last_fcc, errors, .. } =
+        shared;
+    let latency = latency.map(|stage| stage.into_inner().unwrap());
+    let lost_steps = lost.into_inner();
     ThreadedReport {
         steps_emitted: cfg.steps,
-        stage_steps,
-        crack_detected_at,
-        actions,
-        mean_latency_s,
+        stage_steps: latency.each_ref().map(Welford::count),
+        crack_detected_at: crack_step.into_inner().unwrap(),
+        actions: actions.into_inner().unwrap(),
+        mean_latency_s: latency.each_ref().map(Welford::mean),
         monitor_events,
-        last_fcc_fraction,
-        offline_steps: shared.drained.load(Ordering::Acquire) - lost_steps,
+        last_fcc_fraction: last_fcc.into_inner().unwrap(),
+        offline_steps: drained.into_inner() - lost_steps,
         lost_steps,
-        offline_path,
-        errors,
+        offline_path: offline_path.into_inner().unwrap(),
+        errors: errors.into_inner().unwrap(),
     }
 }
 
-/// The offline drainer, spawned when the manager takes Bonds offline:
+/// The offline drainer, run by the manager when it takes Bonds offline:
 /// stamps every step left in the Bonds stream with provenance and appends
-/// it to a BP container in `dir`.
+/// it to a BP container in `dir`, until the stream is closed and drained.
 ///
 /// I/O failures must not panic the scope, and must not stop the drain
-/// either: the other stages terminate on `drained`, so a drainer that
-/// exits early would leave Helper blocked on a full staging queue forever.
-/// A step that cannot be written counts as lost. A failure is recorded in
-/// `errors` and drops the writer, so the file holds exactly the steps not
-/// lost: an append torn by the failure is past the last whole frame.
-fn drain_offline(dir: &Path, steps: u64, shared: &Shared, r_drain: &StreamReader) {
+/// either: once Bonds is offline the drainer is the stream's only reader,
+/// so one that exits early would leave Helper blocked on a full log
+/// forever. A step that cannot be written counts as lost. A failure is
+/// recorded in `errors` and drops the writer, so the file holds exactly
+/// the steps not lost: an append torn by the failure is past the last
+/// whole frame.
+fn drain_offline(dir: &Path, shared: &Shared, r_drain: &StreamReader) {
     let record = |msg: String| shared.errors.lock().unwrap().push(msg);
     let path = dir.join("offline-staged.bp");
     let mut writer =
@@ -575,12 +474,7 @@ fn drain_offline(dir: &Path, steps: u64, shared: &Shared, r_drain: &StreamReader
             }
         };
     let prov = crate::provenance::Provenance::from_split(&["Helper"], &["Bonds", "CSym"]);
-    while shared.bonds_done.load(Ordering::Acquire) + shared.drained.load(Ordering::Acquire)
-        < steps
-    {
-        let Some((_, mut step)) = r_drain.pull_timeout(Duration::from_millis(20)) else {
-            continue;
-        };
+    while let Some((_, mut step)) = r_drain.pull() {
         prov.stamp(&mut step);
         let written = writer.as_mut().map(|w| w.append("atoms", &step));
         if let Some(Err(e)) = &written {
@@ -655,13 +549,14 @@ mod tests {
     /// queue depth, and the run ends (a watchdog fails it otherwise). A
     /// fast producer in front of a pool of slow Bonds replicas delivers
     /// steps to the analysis in bursts — the regime where a step could
-    /// once be stranded behind the branch.
+    /// once be stranded behind the branch. With decrease on, replicas may
+    /// also retire mid-run: the shared cursor must keep their backlog.
     #[test]
     fn branch_conserves_steps() {
         const STEPS: u64 = 8;
         for queue_capacity in [1, 2, 4] {
             for seed in [1, 2, 3] {
-                for manage in [false, true] {
+                for (manage, decrease) in [(false, false), (true, false), (true, true)] {
                     let base = fracture_md();
                     let md = MdConfig {
                         seed,
@@ -677,9 +572,12 @@ mod tests {
                         bonds_use_n2: true,
                         initial_bonds_workers: 4,
                         manage,
+                        decrease,
                         ..ThreadedConfig::default()
                     };
-                    let case = format!("capacity {queue_capacity}, seed {seed}, manage {manage}");
+                    let case = format!(
+                        "capacity {queue_capacity}, seed {seed}, manage {manage}, decrease {decrease}"
+                    );
                     let (done_tx, done_rx) = std::sync::mpsc::channel();
                     std::thread::spawn(move || {
                         // The receiver is gone only if the watchdog fired.
@@ -736,9 +634,9 @@ mod tests {
     fn manager_decreases_idle_bonds() {
         // A slow producer (long MD epochs) in front of an over-provisioned
         // Bonds pool: the stream sits idle between steps, so the manager
-        // pauses, drains, and retires replicas — and every step still
-        // lands because the pause protocol only retires after a clean
-        // drain.
+        // retires replicas — and every step still lands because a replica
+        // leaves only before a pull, and the cursor keeps what it would
+        // have pulled for the others.
         let cfg = ThreadedConfig {
             steps: 5,
             initial_bonds_workers: 3,
@@ -826,7 +724,7 @@ mod offline_tests {
     }
 
     /// An unwritable offline directory must not panic or hang the run: the
-    /// drainer reports the failure, keeps counting steps through so every
+    /// drainer reports the failure, keeps draining the stream so every
     /// stage still terminates, and the report carries the error. Same
     /// premise and crystal as `saturated_bonds_goes_offline_with_provenance`:
     /// Bonds must fall behind for the manager to prune it at all.

@@ -23,10 +23,17 @@ fn frag(step: u64, rank: u32) -> StepData {
 
 /// One thread per rank, each writing `steps` fragments through the
 /// blocking path; the last handle to drop closes the engine.
+///
+/// Every rank's handle exists before any thread starts. Staging is not
+/// bounded, so a rank spawned alone could stage all its fragments and
+/// drop its handle — the group's last — before the next rank's handle
+/// was made, closing the stream under the others.
 fn spawn_writers(eng: &StreamEngine, steps: u64) -> Vec<thread::JoinHandle<()>> {
-    (0..RANKS)
-        .map(|rank| {
-            let w = eng.writer(rank);
+    let writers: Vec<_> = (0..RANKS).map(|rank| eng.writer(rank)).collect();
+    writers
+        .into_iter()
+        .map(|w| {
+            let rank = w.rank();
             thread::spawn(move || {
                 for step in 0..steps {
                     w.write(frag(step, rank)).expect("the stream stays open");
