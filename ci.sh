@@ -87,6 +87,12 @@ cargo run --release --example quickstart
 echo "== fault recovery example (headless, asserts the recovery invariants) =="
 cargo run --release --example fault_recovery
 
+echo "== managed staging example (Fig. 7/8/9 outcomes, full telemetry on Fig. 7) =="
+cargo run --release --example managed_staging
+
+echo "== resilient trade example (D2T commits clean, aborts on a no vote or a lost vote) =="
+cargo run --release --example resilient_trade
+
 echo "== multi-tenant example (24 tenants, managed vs unmanaged) =="
 cargo run --release --example multi_tenant
 

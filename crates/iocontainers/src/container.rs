@@ -123,13 +123,30 @@ pub struct ContainerState {
     /// to the stored data (recorded in provenance as a pending op). Branch
     /// retirement (CSym after detection) does not owe work.
     pub owed: bool,
+    /// Single-instance service time at the tenant's atom count. The atom
+    /// count and the cost model are fixed for the run, so this is
+    /// evaluated once, at construction.
+    base_step_time: SimDuration,
+    /// Units needed to sustain the tenant's cadence (fixed for the run
+    /// for the same reason).
+    needed: u32,
 }
 
 impl ContainerState {
-    /// Creates runtime state for a spec with its initially assigned nodes.
-    pub fn new(id: ContainerId, spec: ContainerSpec, nodes: Vec<NodeId>) -> ContainerState {
+    /// Creates runtime state for a spec with its initially assigned nodes,
+    /// for a tenant simulating `atoms` atoms and emitting one step every
+    /// `cadence`.
+    pub fn new(
+        id: ContainerId,
+        spec: ContainerSpec,
+        nodes: Vec<NodeId>,
+        atoms: u64,
+        cadence: SimDuration,
+    ) -> ContainerState {
         let status = if spec.starts_active { Status::Online } else { Status::Inactive };
         let replica_free = vec![SimTime::ZERO; nodes.len()];
+        let base_step_time = spec.service.step_time(atoms);
+        let needed = spec.service.units_to_sustain_from(base_step_time, spec.model, cadence);
         ContainerState {
             spec,
             id,
@@ -142,6 +159,8 @@ impl ContainerState {
             bypassed: 0,
             overflowed: false,
             owed: false,
+            base_step_time,
+            needed,
         }
     }
 
@@ -166,31 +185,31 @@ impl ContainerState {
         )
     }
 
-    /// Service time for one step at the current size.
-    pub fn step_time(&self, atoms: u64) -> SimDuration {
-        self.spec.service.step_time_with(atoms, self.spec.model, self.units())
+    /// Service time for one step at the current size. The unit count is
+    /// read on every call, so a resize takes effect at the next dispatch.
+    pub fn step_time(&self) -> SimDuration {
+        self.spec.service.scaled_step_time(self.base_step_time, self.spec.model, self.units())
     }
 
     /// Sustained throughput (steps/s) at the current size.
-    pub fn throughput(&self, atoms: u64) -> f64 {
-        self.spec.service.throughput(atoms, self.spec.model, self.units())
+    pub fn throughput(&self) -> f64 {
+        self.spec.service.throughput_from(self.base_step_time, self.spec.model, self.units())
     }
 
     /// Local-manager estimate: units needed to sustain the cadence. This is
     /// the "ask the container-local authority what is needed to speed it
     /// up" interface of the paper.
-    pub fn units_needed(&self, atoms: u64, cadence: SimDuration) -> u32 {
-        self.spec.service.units_to_sustain(atoms, self.spec.model, cadence)
+    pub fn units_needed(&self) -> u32 {
+        self.needed
     }
 
     /// Local-manager estimate: units this container could give away while
     /// still sustaining the cadence (its over-provisioning margin).
-    pub fn units_spareable(&self, atoms: u64, cadence: SimDuration) -> u32 {
+    pub fn units_spareable(&self) -> u32 {
         if !self.is_online() {
             return 0;
         }
-        let needed = self.units_needed(atoms, cadence).max(1);
-        self.units().saturating_sub(needed)
+        self.units().saturating_sub(self.needed.max(1))
     }
 
     /// Resets the per-replica free times to match the current node count,
@@ -230,9 +249,12 @@ mod tests {
         }
     }
 
+    const CADENCE: SimDuration = SimDuration::from_secs(15);
+
     fn state(nodes: u32) -> ContainerState {
         let spec = bonds_spec();
-        ContainerState::new(ContainerId(1), spec, (0..nodes).map(NodeId).collect())
+        let atoms = mdsim::atoms_for_nodes(256);
+        ContainerState::new(ContainerId(1), spec, (0..nodes).map(NodeId).collect(), atoms, CADENCE)
     }
 
     #[test]
@@ -244,31 +266,28 @@ mod tests {
 
     #[test]
     fn round_robin_throughput_scales_with_units() {
-        let atoms = mdsim::atoms_for_nodes(256);
-        let one = state(1).throughput(atoms);
-        let three = state(3).throughput(atoms);
+        let one = state(1).throughput();
+        let three = state(3).throughput();
         assert!((three / one - 3.0).abs() < 1e-9);
     }
 
     #[test]
     fn local_manager_estimates() {
-        let atoms = mdsim::atoms_for_nodes(256);
-        let cadence = SimDuration::from_secs(15);
         let st = state(1);
         // ~19.4 s service: needs 2 RR replicas, can spare none.
-        assert_eq!(st.units_needed(atoms, cadence), 2);
-        assert_eq!(st.units_spareable(atoms, cadence), 0);
+        assert_eq!(st.units_needed(), 2);
+        assert_eq!(st.units_spareable(), 0);
         let big = state(5);
-        assert_eq!(big.units_spareable(atoms, cadence), 3);
+        assert_eq!(big.units_spareable(), 3);
     }
 
     #[test]
     fn inactive_spec_starts_inactive() {
         let spec = ContainerSpec { starts_active: false, ..bonds_spec() };
-        let st = ContainerState::new(ContainerId(0), spec, vec![NodeId(9)]);
+        let st = ContainerState::new(ContainerId(0), spec, vec![NodeId(9)], 1_000_000, CADENCE);
         assert_eq!(st.status, Status::Inactive);
         assert!(!st.is_online());
-        assert_eq!(st.units_spareable(1_000_000, SimDuration::from_secs(15)), 0);
+        assert_eq!(st.units_spareable(), 0);
     }
 
     #[test]
@@ -277,7 +296,7 @@ mod tests {
         st.status = Status::Failed;
         assert!(st.accepts_steps());
         assert!(!st.is_online());
-        assert_eq!(st.units_spareable(1_000_000, SimDuration::from_secs(15)), 0);
+        assert_eq!(st.units_spareable(), 0);
         st.status = Status::Stalled { until: SimTime::from_secs(30) };
         assert!(st.accepts_steps());
         assert!(!st.is_online());

@@ -299,6 +299,8 @@ impl World {
                 }
             };
             let admitted = matches!(admission, AdmissionState::Admitted { .. });
+            // The cost model's per-run inputs: fixed once the tenant is built.
+            let (atoms, cadence) = (wl.atoms(), wl.sla.output_cadence);
             for (i, spec) in specs.into_iter().enumerate() {
                 let id = ContainerId((base + i) as u32);
                 log.register(id, spec.name);
@@ -315,7 +317,7 @@ impl World {
                 } else {
                     Vec::new() // waiting/rejected tenants hold nothing
                 };
-                let mut st = ContainerState::new(id, spec, nodes);
+                let mut st = ContainerState::new(id, spec, nodes, atoms, cadence);
                 if !admitted || (st.spec.starts_active && st.nodes.is_empty()) {
                     st.status = Status::Inactive;
                 }
@@ -440,38 +442,29 @@ impl World {
         xfer
     }
 
-    /// The step-accepting containers downstream of `cid` in the data path.
-    /// Empty means the pipeline ends here. Helper fans out to both the
-    /// analytics chain (Bonds) and, when launched, the visualization
-    /// container. Failed and stalled analytics containers still receive
-    /// steps — their queues are the recovery path's guarantee that no time
-    /// step is lost while the manager reacts.
-    fn downstream_targets(&self, cid: usize) -> Vec<usize> {
+    /// The step-accepting containers downstream of `cid` in the data path,
+    /// in forwarding order; two `None`s mean the pipeline ends here. Helper
+    /// fans out to both the analytics chain (Bonds) and, when launched, the
+    /// visualization container; no container has more than two targets, so
+    /// a fixed pair carries them without allocating. Failed and stalled
+    /// analytics containers still receive steps — their queues are the
+    /// recovery path's guarantee that no time step is lost while the
+    /// manager reacts.
+    fn downstream_targets(&self, cid: usize) -> [Option<usize>; 2] {
         let t = &self.tenants[self.tenant_of[cid]];
         let (base, count) = (t.base, t.count);
-        let accepts = |ix: usize| self.containers.get(ix).is_some_and(ContainerState::accepts_steps);
-        let mut targets = Vec::with_capacity(2);
+        let accepts =
+            |ix: &usize| self.containers.get(*ix).is_some_and(ContainerState::accepts_steps);
         match cid - base {
-            HELPER => {
-                if accepts(base + BONDS) {
-                    targets.push(base + BONDS);
-                }
-                if count > VIZ
-                    && self.containers.get(base + VIZ).is_some_and(ContainerState::is_online)
-                {
-                    targets.push(base + VIZ);
-                }
-            }
-            BONDS => {
-                if accepts(base + CSYM) {
-                    targets.push(base + CSYM);
-                } else if accepts(base + CNA) {
-                    targets.push(base + CNA);
-                }
-            }
-            _ => {}
+            HELPER => [
+                Some(base + BONDS).filter(accepts),
+                Some(base + VIZ).filter(|&ix| {
+                    count > VIZ && self.containers.get(ix).is_some_and(ContainerState::is_online)
+                }),
+            ],
+            BONDS => [[base + CSYM, base + CNA].into_iter().find(accepts), None],
+            _ => [None, None],
         }
-        targets
     }
 
     /// True for the analytics chain (visualization is a side sink and does
@@ -551,11 +544,21 @@ pub fn run_experiment_in(sim: &mut Sim, ex: Experiment) -> ExperimentRun {
 
     // Kernel-category telemetry observes every executed event by label via
     // the kernel's event hook. The hook cannot touch the schedule, so this
-    // is schedule-neutral by construction.
+    // is schedule-neutral by construction. Labels come from a small fixed
+    // set of `&'static str`s, so each one's counter name is built the first
+    // time it fires and found by address afterwards.
     if telemetry.enabled(Category::Kernel) {
         let tel = telemetry.clone();
+        let mut keys: Vec<(&'static str, String)> = Vec::new();
         sim.set_event_hook(Box::new(move |_at, label| {
-            tel.count(Category::Kernel, &format!("kernel.{label}"), 1);
+            let ix = match keys.iter().position(|&(l, _)| std::ptr::eq(l, label)) {
+                Some(ix) => ix,
+                None => {
+                    keys.push((label, format!("kernel.{label}")));
+                    keys.len() - 1
+                }
+            };
+            tel.count(Category::Kernel, &keys[ix].1, 1);
         }));
     }
 
@@ -824,12 +827,11 @@ fn try_dispatch(sim: &mut Sim, world: &W, cid: usize) {
             } else {
                 let now = sim.now();
                 let t = w.tenant_of[cid];
-                let atoms = w.tenants[t].wl.atoms();
                 let monitoring = w.cluster.monitoring;
                 let c = &mut w.containers[cid];
                 match (c.next_free_replica(), c.queue.pop_front()) {
                     (Some(idx), Some(qstep)) if c.replica_free[idx] <= now => {
-                        let mut service = c.step_time(atoms);
+                        let mut service = c.step_time();
                         if monitoring.samples_step(qstep.step) {
                             service += monitoring.per_sample_cost;
                         }
@@ -927,16 +929,16 @@ fn complete(sim: &mut Sim, world: &W, cid: usize, qstep: QueuedStep, epoch: u64)
 
         let targets = w.downstream_targets(cid);
         let analytics_targets =
-            targets.iter().filter(|&&dst| w.is_analytics(dst)).count();
-        let mut forward = Vec::with_capacity(targets.len());
-        for dst in targets {
-            let bytes = (qstep.bytes as f64 * w.containers[cid].spec.output_ratio) as u64;
+            targets.iter().flatten().filter(|&&dst| w.is_analytics(dst)).count();
+        let bytes = (qstep.bytes as f64 * w.containers[cid].spec.output_ratio) as u64;
+        let forward = targets.map(|dst| {
+            let dst = dst?;
             let xfer = w.transfer_time_at(dst, bytes, now);
             let start = now.max(w.ingress_free[dst]);
             let arrival = start + xfer;
             w.ingress_free[dst] = arrival;
-            forward.push((dst, arrival, QueuedStep { bytes, entered: arrival, ..qstep }));
-        }
+            Some((dst, arrival, QueuedStep { bytes, entered: arrival, ..qstep }))
+        });
         if analytics_targets == 0 && w.is_analytics(cid) {
             // Analytics-path exit: record end-to-end latency; if downstream
             // was pruned by policy, the step goes to disk with provenance.
@@ -956,7 +958,7 @@ fn complete(sim: &mut Sim, world: &W, cid: usize, qstep: QueuedStep, epoch: u64)
         perform_branch(sim, world, t);
     }
 
-    for (dst, arrival, fwd) in forward {
+    for (dst, arrival, fwd) in forward.into_iter().flatten() {
         let w = world.clone();
         sim.schedule_at_named("ioc.arrive", arrival, move |sim| arrive(sim, &w, dst, fwd));
     }
@@ -1092,8 +1094,6 @@ fn policy_tick(sim: &mut Sim, world: &W) {
                 if !matches!(tn.admission, AdmissionState::Admitted { .. }) {
                     continue;
                 }
-                let atoms = tn.wl.atoms();
-                let cadence = tn.wl.sla.output_cadence;
                 let mut views = scratch.view_pool.pop().unwrap_or_default();
                 views.extend(w.tenant_slice(tn.base, tn.count).iter().map(|c| {
                     // The head-of-line age bounds the next completion's
@@ -1110,8 +1110,8 @@ fn policy_tick(sim: &mut Sim, world: &W) {
                         online: c.status == Status::Online,
                         essential: c.spec.essential,
                         units: c.units(),
-                        needed: c.units_needed(atoms, cadence),
-                        spareable: c.units_spareable(atoms, cadence),
+                        needed: c.units_needed(),
+                        spareable: c.units_spareable(),
                         queue_len: c.queue.len() + w.stalled[c.id.0 as usize].len(),
                         queue_capacity: c.spec.queue_capacity,
                         avg_latency: avg,
@@ -1734,10 +1734,9 @@ fn detector_tick(sim: &mut Sim, world: &W) {
                 .enumerate()
                 .find(|&(ix, c)| w.declared_failed[ix] && matches!(c.status, Status::Failed))
                 .map(|(ix, c)| {
-                    let wl = &w.tenants[w.tenant_of[ix]].wl;
                     let view = FailureView {
                         id: c.id,
-                        needed: c.units_needed(wl.atoms(), wl.sla.output_cadence),
+                        needed: c.units_needed(),
                         restarts_so_far: w.restart_attempts[ix],
                     };
                     decide_recovery(&w.cluster.recovery, &view, w.staging.spare())
@@ -2360,11 +2359,49 @@ mod monitoring_tests {
 mod trade_tests {
     use super::*;
     use crate::monitor::Action;
+    use smartpointer::ComputeModel;
 
     /// Nodes held by containers at the end of a run (the rest are spare;
     /// the staging area itself enforces no-double-lease).
     fn held_nodes(run: &PipelineRun) -> u32 {
         run.final_units.iter().map(|&(_, u)| u).sum()
+    }
+
+    /// The cost model's per-run constants are fixed when the world is
+    /// built, but the unit count is read per dispatch: after a
+    /// `trade_inc` grows a `Parallel` container (nodes extended, replicas
+    /// not reset), the next dispatch is charged what a fresh evaluation
+    /// gives at the new size.
+    #[test]
+    fn dispatch_after_trade_inc_uses_the_new_unit_count() {
+        let mut cfg = ExperimentConfig::fig7();
+        cfg.staging_nodes = 16; // 13 held + 3 spares
+        let (atoms, cadence, monitoring) = (cfg.atoms(), cfg.sla.output_cadence, cfg.monitoring);
+        let mut w = World::new(Experiment::single(cfg));
+        let old = &w.containers[BONDS];
+        let spec = crate::ContainerSpec { model: ComputeModel::Parallel, ..old.spec.clone() };
+        let mut bonds = ContainerState::new(old.id, spec, old.nodes.clone(), atoms, cadence);
+        bonds.reset_replicas(SimTime::ZERO);
+        let (id, service) = (bonds.id, bonds.spec.service);
+        let step = QueuedStep { step: 1, bytes: 1, entered: SimTime::ZERO, emitted: SimTime::ZERO };
+        bonds.queue.push_back(step);
+        w.containers[BONDS] = bonds;
+
+        let world = shared(w);
+        let mut sim = Sim::new(1);
+        start_increase(&mut sim, &world, id, 2, ResourceSource::Spare);
+        assert!(sim.step().is_some(), "trade_inc runs");
+        let w = world.borrow();
+        let bonds = &w.containers[BONDS];
+        assert_eq!(bonds.units(), 3);
+        assert_eq!(bonds.replica_free.len(), 1, "Parallel runs one instance");
+        let mut fresh = service.step_time_with(atoms, ComputeModel::Parallel, 3);
+        if monitoring.samples_step(step.step) {
+            fresh += monitoring.per_sample_cost;
+        }
+        assert_eq!(w.in_flight[BONDS].len(), 1, "the queued step was dispatched");
+        assert_eq!(bonds.replica_free[0], sim.now() + fresh);
+        assert!(fresh < service.step_time_with(atoms, ComputeModel::Parallel, 1));
     }
 
     /// A transactional trade commits: the Fig. 7 steal still happens, with

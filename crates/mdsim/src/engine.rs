@@ -190,7 +190,7 @@ impl MdEngine {
         if take(&mut at, 4)? != b"MDCK" {
             return None;
         }
-        let n = u64_at(&mut at)? as usize;
+        let n = usize::try_from(u64_at(&mut at)?).ok()?;
         let md_step = u64_at(&mut at)?;
         let outputs = u64_at(&mut at)?;
         let strain = f64_at(&mut at)?;
@@ -198,6 +198,12 @@ impl MdEngine {
         let mut box_len = [0.0; 3];
         for b in &mut box_len {
             *b = f64_at(&mut at)?;
+        }
+        // Each atom record is an id plus six f64s (56 bytes). The count
+        // comes from the blob, so bound it by the bytes actually left
+        // before sizing any allocation from it.
+        if n.checked_mul(8 + 48)? > blob.len() - at {
+            return None;
         }
         let mut ids = Vec::with_capacity(n);
         let mut pos = Vec::with_capacity(n);
@@ -305,7 +311,14 @@ mod tests {
         assert!(MdEngine::restore(cfg.clone(), &ck).is_none());
         let mut bad_magic = md.checkpoint();
         bad_magic[0] = b'X';
-        assert!(MdEngine::restore(cfg, &bad_magic).is_none());
+        assert!(MdEngine::restore(cfg.clone(), &bad_magic).is_none());
+        // An atom count larger than the blob must be refused before it
+        // sizes an allocation.
+        for n in [1u64 << 40, u64::MAX] {
+            let mut huge = md.checkpoint();
+            huge[4..12].copy_from_slice(&n.to_le_bytes());
+            assert!(MdEngine::restore(cfg.clone(), &huge).is_none(), "n = {n}");
+        }
     }
 
     #[test]

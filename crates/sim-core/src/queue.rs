@@ -227,11 +227,6 @@ impl<T> EventQueue<T> {
             let (at, slot) = self.heap_pop_root()?;
             self.batch_time = at;
             if self.root_at() != Some(at) {
-                // Start streaming the next pop's sift path while the
-                // caller executes this event's action — the next root is
-                // already decided, so its first two levels can be in
-                // flight before the next pop begins.
-                self.prefetch_next_sift();
                 let slot = slot as usize;
                 return self.take_slot(slot).map(|p| (at, p));
             }
@@ -321,25 +316,6 @@ impl<T> EventQueue<T> {
     // moving entry in locals ("hole" style), so each level costs one
     // rank move, one slot move, and one dense position write.
 
-    /// Touches the first two levels of the sift path the *next* root pop
-    /// will walk. Called on the way out of [`pop`](EventQueue::pop) so
-    /// the loads overlap with the caller's event action.
-    fn prefetch_next_sift(&self) {
-        let Some(root) = self.root_pos() else { return };
-        let len = self.heap_at.len();
-        let child = 4 * root + 4;
-        if child < len {
-            std::hint::black_box(self.heap_at[child]);
-            std::hint::black_box(self.heap_slot[child]);
-            let grand = 4 * child + 4;
-            if grand < len {
-                std::hint::black_box(self.heap_at[grand]);
-                let grand_mid = (grand + 8).min(len - 1);
-                std::hint::black_box(self.heap_at[grand_mid]);
-            }
-        }
-    }
-
     /// Position of the minimum root, breaking rank ties by position
     /// (deterministic; intra-timestamp order is the batch sort's job).
     fn root_pos(&self) -> Option<usize> {
@@ -380,10 +356,6 @@ impl<T> EventQueue<T> {
 
     fn heap_pop_root(&mut self) -> Option<(SimTime, u32)> {
         let pos = self.root_pos()?;
-        // Touch the root's payload cell now: by the time the caller takes
-        // the payload, the sift below has hidden the cache miss.
-        let slot = self.heap_slot[pos] as usize;
-        std::hint::black_box(self.cells[slot].generation);
         self.heap_remove(pos)
     }
 
@@ -440,23 +412,6 @@ impl<T> EventQueue<T> {
             if first_child >= len {
                 break;
             }
-            // The sixteen grandchildren are contiguous in this layout, so
-            // two touches stream the whole next level in while this
-            // level's comparisons resolve. Their addresses depend only on
-            // `pos`, not on which child wins, so the loads issue early —
-            // a hardware prefetcher cannot follow heap jumps, but this
-            // can.
-            let grand = 4 * first_child + 4;
-            if grand < len {
-                std::hint::black_box(self.heap_at[grand]);
-                let grand_mid = (grand + 8).min(len - 1);
-                std::hint::black_box(self.heap_at[grand_mid]);
-                std::hint::black_box(self.heap_slot[grand]);
-            }
-            // This level's slot group is demanded only after the rank
-            // comparisons resolve; its address is known now, so start the
-            // load early too.
-            std::hint::black_box(self.heap_slot[first_child]);
             let fan_end = (first_child + 4).min(len);
             let Some(fan) = self.heap_at.get(first_child..fan_end) else {
                 break;

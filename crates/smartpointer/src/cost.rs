@@ -31,7 +31,9 @@ pub struct ServiceModel {
 }
 
 impl ServiceModel {
-    /// Service time for one step on a single instance.
+    /// Service time for one step on a single instance. This is the only
+    /// term that depends on the atom count; the DES evaluates it once per
+    /// container when it builds a run and scales it with the forms below.
     pub fn step_time(&self, atoms: u64) -> SimDuration {
         let x = atoms as f64 / 1e6;
         SimDuration::from_secs_f64(self.coeff_s * x.powf(self.exponent))
@@ -45,7 +47,18 @@ impl ServiceModel {
     /// * `Parallel`/`Tree` — ranks (or tree levels) cooperate on one step:
     ///   time divides by the effective speedup `1 + eff·(units-1)`.
     pub fn step_time_with(&self, atoms: u64, model: ComputeModel, units: u32) -> SimDuration {
-        let base = self.step_time(atoms);
+        self.scaled_step_time(self.step_time(atoms), model, units)
+    }
+
+    /// [`step_time_with`](Self::step_time_with) from a precomputed
+    /// single-instance time `base` (what [`step_time`](Self::step_time)
+    /// returned for the atom count).
+    pub fn scaled_step_time(
+        &self,
+        base: SimDuration,
+        model: ComputeModel,
+        units: u32,
+    ) -> SimDuration {
         match model {
             ComputeModel::Serial | ComputeModel::RoundRobin => base,
             ComputeModel::Parallel | ComputeModel::Tree => {
@@ -60,12 +73,16 @@ impl ServiceModel {
     /// Round-robin replication multiplies throughput; parallel ranks divide
     /// per-step time.
     pub fn throughput(&self, atoms: u64, model: ComputeModel, units: u32) -> f64 {
+        self.throughput_from(self.step_time(atoms), model, units)
+    }
+
+    /// [`throughput`](Self::throughput) from a precomputed single-instance
+    /// time `base`.
+    pub fn throughput_from(&self, base: SimDuration, model: ComputeModel, units: u32) -> f64 {
         let units = units.max(1);
         match model {
-            ComputeModel::RoundRobin => {
-                units as f64 / self.step_time(atoms).as_secs_f64().max(1e-12)
-            }
-            _ => 1.0 / self.step_time_with(atoms, model, units).as_secs_f64().max(1e-12),
+            ComputeModel::RoundRobin => units as f64 / base.as_secs_f64().max(1e-12),
+            _ => 1.0 / self.scaled_step_time(base, model, units).as_secs_f64().max(1e-12),
         }
     }
 
@@ -76,7 +93,18 @@ impl ServiceModel {
         model: ComputeModel,
         cadence: SimDuration,
     ) -> u32 {
-        let need = self.step_time(atoms).as_secs_f64() / cadence.as_secs_f64();
+        self.units_to_sustain_from(self.step_time(atoms), model, cadence)
+    }
+
+    /// [`units_to_sustain`](Self::units_to_sustain) from a precomputed
+    /// single-instance time `base`.
+    pub fn units_to_sustain_from(
+        &self,
+        base: SimDuration,
+        model: ComputeModel,
+        cadence: SimDuration,
+    ) -> u32 {
+        let need = base.as_secs_f64() / cadence.as_secs_f64();
         match model {
             ComputeModel::RoundRobin => need.ceil().max(1.0) as u32,
             ComputeModel::Parallel | ComputeModel::Tree => {

@@ -10,7 +10,7 @@
 //! cargo run --release --example managed_staging
 //! ```
 
-use iocontainers::{run_pipeline, ExperimentConfig, PipelineRun};
+use iocontainers::{run_pipeline, Action, ExperimentConfig, PipelineRun, ResourceSource};
 use simtel::export::{chrome_trace_json, series_csv};
 use simtel::TelemetryConfig;
 
@@ -52,14 +52,42 @@ fn main() {
             .expect("the Fig. 7 preset is valid"),
     );
     narrate("Fig. 7 — 256 simulation / 13 staging nodes (no spares)", &fig7);
-    narrate("Fig. 8 — 512 simulation / 24 staging nodes (4 spares)",
-        &run_pipeline(ExperimentConfig::fig8()));
-    narrate("Fig. 9/10 — 1024 simulation / 24 staging nodes (insufficient)",
-        &run_pipeline(ExperimentConfig::fig9()));
+    let fig8 = run_pipeline(ExperimentConfig::fig8());
+    narrate("Fig. 8 — 512 simulation / 24 staging nodes (4 spares)", &fig8);
+    let fig9 = run_pipeline(ExperimentConfig::fig9());
+    narrate("Fig. 9/10 — 1024 simulation / 24 staging nodes (insufficient)", &fig9);
+
+    // The three management outcomes the figures show.
+    let name = |run: &PipelineRun, id| run.log.name_of(id);
+    assert!(
+        fig7.log.actions().iter().any(|(_, a)| matches!(a,
+            Action::Increase { container, source: ResourceSource::StolenFrom(donor), .. }
+                if name(&fig7, *container) == "Bonds" && name(&fig7, *donor) == "Helper")),
+        "Fig. 7: Bonds steals a node from Helper"
+    );
+    assert!(
+        fig8.log.actions().iter().any(|(_, a)| matches!(a,
+            Action::Increase { container, added: 4, source: ResourceSource::Spare }
+                if name(&fig8, *container) == "Bonds")),
+        "Fig. 8: Bonds leases the 4 spare nodes"
+    );
+    assert!(fig9.offline.contains(&"Bonds"), "Fig. 9: Bonds is taken offline");
+    assert!(!fig9.disk_steps.is_empty(), "Fig. 9: bypassed steps are stored on disk");
+    assert!(
+        fig9.disk_steps.iter().all(|(_, prov)| prov.pending_ops.iter().any(|op| op == "Bonds")),
+        "Fig. 9: every stored step's provenance owes Bonds"
+    );
+    for run in [&fig7, &fig8, &fig9] {
+        assert!(run.blocked_at.is_none(), "the application never blocks");
+    }
 
     // Export the Fig. 7 trace: per-container service spans, management
     // markers, SLA violations, and the monitoring gauges.
     let snap = fig7.telemetry.snapshot();
+    assert!(
+        snap.counters.get("kernel.ioc.arrive").is_some_and(|&n| n > 0),
+        "Kernel telemetry counts executed events by label"
+    );
     let dir = std::path::Path::new("target/traces");
     std::fs::create_dir_all(dir).expect("create target/traces");
     let json_path = dir.join("managed_staging.trace.json");

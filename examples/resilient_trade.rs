@@ -14,7 +14,7 @@ use d2t::{run_transaction, Decision, FaultPlan, TxnConfig};
 use sim_core::Sim;
 use simnet::{Network, NetworkConfig};
 
-fn run(label: &str, cfg: &TxnConfig, faults: &FaultPlan) {
+fn run(label: &str, cfg: &TxnConfig, faults: &FaultPlan, expect: Decision) {
     let mut sim = Sim::new(42);
     let net = Network::new(NetworkConfig::qdr_torus((16, 16, 16)));
     let report = run_transaction(&mut sim, &net, cfg, faults);
@@ -24,21 +24,22 @@ fn run(label: &str, cfg: &TxnConfig, faults: &FaultPlan) {
         report.duration.as_secs_f64() * 1e3,
         report.messages
     );
+    assert_eq!(report.decision, expect, "{label}");
 }
 
 fn main() {
     println!("D2T: two-group transactions for container resource trades\n");
 
     let cfg = TxnConfig { writers: 512, readers: 4, ..TxnConfig::default() };
-    run("clean trade (512 writers : 4 readers)", &cfg, &FaultPlan::default());
+    run("clean trade (512 writers : 4 readers)", &cfg, &FaultPlan::default(), Decision::Commit);
 
     let mut no_vote = FaultPlan::default();
     no_vote.writer_no_votes.insert(128);
-    run("one writer votes no", &cfg, &no_vote);
+    run("one writer votes no", &cfg, &no_vote, Decision::Abort);
 
     let mut lost = FaultPlan::default();
     lost.drop_reader_votes.insert(2);
-    run("a reader's vote is lost (timeout)", &cfg, &lost);
+    run("a reader's vote is lost (timeout)", &cfg, &lost, Decision::Abort);
 
     println!("\nscaling with the writer group (the paper's Fig. 6 sweep):");
     for writers in [64u32, 256, 1024, 4096] {

@@ -8,10 +8,11 @@ use datatap::TransportCosts;
 use iocontainers::policy::{
     decide, decide_recovery, ContainerView, Decision, FailureView, PolicyConfig, RecoveryConfig,
 };
-use iocontainers::{ContainerId, Provenance, Sla};
+use iocontainers::{ContainerId, ContainerSpec, ContainerState, Provenance, Sla};
 use sim_core::stats::{SlidingWindow, Welford};
 use sim_core::SimDuration;
 use simnet::{NetworkConfig, NodeId, StagingArea, Topology};
+use smartpointer::{ComputeModel, ServiceModel};
 
 // ---------------------------------------------------------------- adios --
 
@@ -386,5 +387,107 @@ proptest! {
             prop_assert!(back.complete(op));
         }
         prop_assert!(back.fully_processed());
+    }
+}
+
+// ----------------------------------------------------------- cost model --
+
+/// The cost model as one closed form per call, evaluated from the atom
+/// count every time: the reference the precomputed split must equal.
+fn reference_step_time_with(
+    m: &ServiceModel,
+    atoms: u64,
+    model: ComputeModel,
+    units: u32,
+) -> SimDuration {
+    let x = atoms as f64 / 1e6;
+    let base = SimDuration::from_secs_f64(m.coeff_s * x.powf(m.exponent));
+    match model {
+        ComputeModel::Serial | ComputeModel::RoundRobin => base,
+        ComputeModel::Parallel | ComputeModel::Tree => {
+            let units = units.max(1) as f64;
+            base.mul_f64(1.0 / (1.0 + m.parallel_efficiency * (units - 1.0)))
+        }
+    }
+}
+
+fn reference_units_to_sustain(
+    m: &ServiceModel,
+    atoms: u64,
+    model: ComputeModel,
+    cadence: SimDuration,
+) -> u32 {
+    let need = reference_step_time_with(m, atoms, ComputeModel::Serial, 1).as_secs_f64()
+        / cadence.as_secs_f64();
+    match model {
+        ComputeModel::RoundRobin => need.ceil().max(1.0) as u32,
+        ComputeModel::Parallel | ComputeModel::Tree => {
+            if need <= 1.0 {
+                1
+            } else {
+                (((need - 1.0) / m.parallel_efficiency) + 1.0).ceil() as u32
+            }
+        }
+        ComputeModel::Serial => 1,
+    }
+}
+
+fn arb_compute_model() -> impl Strategy<Value = ComputeModel> {
+    (0u8..4).prop_map(|k| match k {
+        0 => ComputeModel::Serial,
+        1 => ComputeModel::RoundRobin,
+        2 => ComputeModel::Parallel,
+        _ => ComputeModel::Tree,
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn precomputed_cost_model_matches_fresh_evaluation(
+        coeff_s in 0.0f64..500.0,
+        exponent in 0.0f64..3.5,
+        parallel_efficiency in 0.05f64..1.0,
+        (mantissa, decade) in (1u64..1000, 0u32..6),
+        units in 0u32..=32,
+        model in arb_compute_model(),
+        cadence_ms in 1u64..600_000
+    ) {
+        let service = ServiceModel { coeff_s, exponent, parallel_efficiency };
+        let atoms = mantissa * 10u64.pow(decade);
+        let cadence = SimDuration::from_millis(cadence_ms);
+        let want_time = reference_step_time_with(&service, atoms, model, units);
+        let want_units = reference_units_to_sustain(&service, atoms, model, cadence);
+
+        // The split form: the atom-dependent base once, the unit scaling
+        // per call.
+        let base = service.step_time(atoms);
+        prop_assert_eq!(service.scaled_step_time(base, model, units), want_time);
+        prop_assert_eq!(service.step_time_with(atoms, model, units), want_time);
+        prop_assert_eq!(service.units_to_sustain_from(base, model, cadence), want_units);
+        prop_assert_eq!(service.units_to_sustain(atoms, model, cadence), want_units);
+
+        // A container holds the same constants from construction on and
+        // reads its unit count per call.
+        let spec = ContainerSpec {
+            name: "C",
+            model,
+            service,
+            initial_nodes: units,
+            queue_capacity: 4,
+            essential: false,
+            depends_on: Vec::new(),
+            starts_active: true,
+            output_ratio: 1.0,
+        };
+        let nodes = (0..units).map(NodeId).collect();
+        let st = ContainerState::new(ContainerId(0), spec, nodes, atoms, cadence);
+        prop_assert_eq!(st.step_time(), want_time);
+        prop_assert_eq!(st.units_needed(), want_units);
+        prop_assert_eq!(
+            st.throughput().to_bits(),
+            service.throughput(atoms, model, units).to_bits()
+        );
     }
 }
