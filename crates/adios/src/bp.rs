@@ -692,6 +692,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the process-wide free list is shared state: only real threads can race on it"
+    )]
     fn concurrent_encoders_round_trip_every_blob() {
         // Both threads take from and return to the one list, with blobs of
         // one size so each can be handed the other's buffers.

@@ -35,10 +35,12 @@ pub struct WallClock {
 
 impl WallClock {
     /// Creates a wall clock whose epoch is "now".
+    // Everything else derives from this epoch through Clock::now().
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the transport epoch is the one sanctioned wall-clock read"
+    )]
     pub fn new() -> WallClock {
-        // The transport's one sanctioned wall-clock read: everything else
-        // derives from this epoch through Clock::now().
-        // simlint: allow(wall-clock, the transport epoch is the one sanctioned wall-clock read)
         WallClock { epoch: std::time::Instant::now() }
     }
 }

@@ -660,6 +660,70 @@ mod tests {
     }
 
     #[test]
+    fn equal_fair_share_ratios_pick_the_lowest_tenant_index() {
+        let cfg = PolicyConfig::default();
+        // Both violate with a deficit of 2 and sit at half their share
+        // (4 of 8, 2 of 4): the tie goes to the first tenant in the slice.
+        let t0 = tenant(5, 8, 4, vec![view(0, 2, 4, 0, 45)]);
+        let t1 = tenant(3, 4, 2, vec![view(10, 2, 4, 0, 45)]);
+        let got = decide_cluster(&cfg, &[t0, t1], &[], 4);
+        assert_eq!(
+            got,
+            ClusterDecision::Act {
+                tenant: 5,
+                decision: Decision::Rebalance {
+                    target: ContainerId(0),
+                    lease_spare: 2,
+                    steal: None
+                },
+            }
+        );
+    }
+
+    /// Tenant 0 needs 2 more Bonds nodes with no spare and no in-tenant
+    /// donor; `donors` are healthy tenants that can each spare 2 or more.
+    fn cross_steal_donor(donors: Vec<TenantPolicyView>) -> (u32, ContainerId) {
+        let starving = tenant(0, 8, 3, vec![view(0, 1, 3, 0, 45)]);
+        let mut tenants = vec![starving];
+        tenants.extend(donors);
+        match decide_cluster(&PolicyConfig::default(), &tenants, &[], 0) {
+            ClusterDecision::CrossSteal { tenant: 0, take: 2, donor_tenant, donor, .. } => {
+                (donor_tenant, donor)
+            }
+            other => panic!("expected a cross-tenant steal, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn donor_furthest_over_its_share_wins_before_surplus() {
+        // Tenant 1 is 4 over its share with 2 to spare; tenant 2 is only
+        // 2 over but could spare 9.
+        let got = cross_steal_donor(vec![
+            tenant(1, 8, 12, vec![view(10, 3, 1, 2, 2)]),
+            tenant(2, 8, 10, vec![view(20, 10, 1, 9, 2)]),
+        ]);
+        assert_eq!(got, (1, ContainerId(10)));
+    }
+
+    #[test]
+    fn donor_with_the_biggest_surplus_wins_among_equally_over() {
+        let got = cross_steal_donor(vec![
+            tenant(1, 8, 10, vec![view(10, 4, 1, 3, 2)]),
+            tenant(2, 8, 10, vec![view(20, 6, 1, 5, 2)]),
+        ]);
+        assert_eq!(got, (2, ContainerId(20)));
+    }
+
+    #[test]
+    fn donor_with_the_lowest_container_id_wins_a_full_tie() {
+        let got = cross_steal_donor(vec![
+            tenant(1, 8, 10, vec![view(11, 4, 1, 3, 2)]),
+            tenant(2, 8, 10, vec![view(21, 4, 1, 3, 2)]),
+        ]);
+        assert_eq!(got, (1, ContainerId(11)));
+    }
+
+    #[test]
     fn disabled_policy_decides_nothing_cluster_wide() {
         let cfg = PolicyConfig { enabled: false, ..PolicyConfig::default() };
         let t0 = tenant(0, 8, 2, vec![view(0, 1, 6, 0, 100)]);

@@ -28,6 +28,11 @@
 //! Helper runs and exits as soon as Helper returns: the application has
 //! stopped writing, so there is nothing left to protect.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the threaded runtime runs real stages on OS threads and times them on the wall clock"
+)]
+
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};

@@ -21,9 +21,9 @@
 //!
 //! All three run the work inline on the caller's thread when
 //! `threads <= 1` (or when there is only one chunk), so the serial path
-//! spawns nothing and stays simlint-clean by construction. Workers are
-//! scoped (`std::thread::scope`): no detached threads, no 'static bounds,
-//! and a worker panic propagates to the caller.
+//! spawns nothing. Workers are scoped (`std::thread::scope`; simpar's
+//! `clippy.toml` omits the workspace's thread bans): no detached threads,
+//! no 'static bounds, and a worker panic propagates to the caller.
 
 #![warn(missing_docs)]
 

@@ -273,6 +273,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the recorder is shared across threads: only real threads can race on it"
+    )]
     fn counters_accumulate_across_threads() {
         let tel = Telemetry::new(TelemetryConfig::all());
         std::thread::scope(|scope| {

@@ -9,6 +9,7 @@
 
 // Maps whose iteration order reaches results (majority votes, split
 // events) are BTreeMaps; lookup-only maps stay hashed.
+#[expect(clippy::disallowed_types, reason = "imports the lookup-only maps below")]
 use std::collections::{BTreeMap, HashMap};
 
 use crate::bonds::BondsOutput;
@@ -70,6 +71,7 @@ impl FragmentFinder {
         }
 
         // Dense relabeling + sizes.
+        #[expect(clippy::disallowed_types, reason = "lookup-only: root → dense label")]
         let mut dense: HashMap<u32, u32> = HashMap::new();
         let mut labels = Vec::with_capacity(n);
         let mut sizes: Vec<u32> = Vec::new();
@@ -94,6 +96,7 @@ impl FragmentFinder {
 pub struct FragmentTracker {
     next_id: u64,
     /// Stable id of the fragment each atom belonged to at the last step.
+    #[expect(clippy::disallowed_types, reason = "lookup-only: atom → prior fragment id")]
     by_atom: HashMap<u64, u64>,
     history: Vec<TrackEvent>,
 }

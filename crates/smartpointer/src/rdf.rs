@@ -4,7 +4,8 @@
 //! g(r) histograms the pair distances and normalizes by the ideal-gas
 //! expectation, revealing the crystal's shell structure (sharp peaks at
 //! the FCC neighbor distances) or its loss on melting/fracture. O(n²)
-//! over pairs within the histogram range; thread-parallel over atoms.
+//! over pairs within the histogram range; thread-parallel over atoms
+//! through [`simpar`].
 
 use mdsim::Snapshot;
 
@@ -68,60 +69,37 @@ impl Rdf {
         let dr = self.r_max / self.bins as f64;
         let r_max2 = self.r_max * self.r_max;
 
-        let count_range = |range: std::ops::Range<usize>| -> Vec<u64> {
-            let mut counts = vec![0u64; self.bins];
-            for i in range {
-                for j in (i + 1)..n {
-                    let d2 = snap.dist2(i, j);
-                    if d2 < r_max2 {
-                        let bin = (d2.sqrt() / dr) as usize;
-                        counts[bin.min(self.bins - 1)] += 1;
+        // Worker t takes the rows t, t+T, t+2T... : the early rows are the
+        // longest, so striding balances better than contiguous chunks. One
+        // simpar chunk per worker keeps the merge in worker order, and the
+        // integer counts make the total independent of it anyway.
+        let stride = self.threads.clamp(1, n.max(1));
+        let counts = simpar::chunked_map_reduce(
+            stride,
+            stride,
+            |workers| {
+                let mut counts = vec![0u64; self.bins];
+                for t in workers {
+                    for i in (t..n).step_by(stride) {
+                        for j in (i + 1)..n {
+                            let d2 = snap.dist2(i, j);
+                            if d2 < r_max2 {
+                                let bin = (d2.sqrt() / dr) as usize;
+                                counts[bin.min(self.bins - 1)] += 1;
+                            }
+                        }
                     }
                 }
-            }
-            counts
-        };
-
-        let counts: Vec<u64> = if self.threads <= 1 || n < 2 {
-            count_range(0..n)
-        } else {
-            let threads = self.threads.min(n);
-            // Interleaved ranges would balance better, but contiguous
-            // chunks keep determinism trivial; the early rows are longer,
-            // so give thread t the rows t, t+T, t+2T... by striding.
-            let mut partials: Vec<Vec<u64>> = Vec::with_capacity(threads);
-            std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(threads);
-                for t in 0..threads {
-                    let count_stride = |start: usize| -> Vec<u64> {
-                        let mut counts = vec![0u64; self.bins];
-                        let mut i = start;
-                        while i < n {
-                            for j in (i + 1)..n {
-                                let d2 = snap.dist2(i, j);
-                                if d2 < r_max2 {
-                                    let bin = (d2.sqrt() / dr) as usize;
-                                    counts[bin.min(self.bins - 1)] += 1;
-                                }
-                            }
-                            i += threads;
-                        }
-                        counts
-                    };
-                    handles.push(scope.spawn(move || count_stride(t)));
-                }
-                for h in handles {
-                    partials.push(h.join().expect("rdf worker panicked"));
-                }
-            });
-            let mut total = vec![0u64; self.bins];
-            for p in partials {
-                for (t, c) in total.iter_mut().zip(p) {
+                counts
+            },
+            vec![0u64; self.bins],
+            |mut total, partial| {
+                for (t, c) in total.iter_mut().zip(partial) {
                     *t += c;
                 }
-            }
-            total
-        };
+                total
+            },
+        );
 
         // Normalize against the ideal gas: g(r) = counts / (N * rho * V_shell / 2).
         let volume: f64 = snap.box_len.iter().product();

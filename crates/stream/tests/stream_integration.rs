@@ -253,6 +253,10 @@ fn merged_attributes_reach_all_readers() {
 /// Timeout pulls on a manual clock advance virtual time instead of
 /// sleeping: an hour of waiting costs nothing real.
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "measuring that a virtual wait takes no real time"
+)]
 fn virtual_timeouts_never_sleep() {
     let clock = Arc::new(ManualClock::new());
     let eng = StreamEngine::builder(StreamConfig { writers: 1, retention: 4 })
@@ -262,7 +266,6 @@ fn virtual_timeouts_never_sleep() {
     let r = eng.reader("viz", Attach::Oldest, None).unwrap();
     // This real-time measurement is the test's whole point: proving the
     // hour-long virtual wait costs nothing on the wall.
-    // simlint: allow(wall-clock, measuring that a virtual wait takes no real time)
     let t0 = std::time::Instant::now();
     assert!(r.next_step_timeout(Duration::from_secs(3600)).is_none());
     assert_eq!(clock.now(), SimTime::from_secs(3600));

@@ -35,6 +35,10 @@ use stream::{
 const STEPS: u64 = 10;
 const RANKS: u32 = 2;
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the writer group and its readers are real threads, as in an application"
+)]
 fn main() {
     // Control plane: count seal/attach/detach announcements on an overlay.
     let overlay = Overlay::new("stream-manager");

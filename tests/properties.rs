@@ -105,7 +105,7 @@ proptest! {
         votes in proptest::collection::vec((0u32..32, any::<bool>()), 0..64)
     ) {
         let mut c = VoteCollector::new(size);
-        let mut first_vote: std::collections::HashMap<u32, bool> = Default::default();
+        let mut first_vote: std::collections::BTreeMap<u32, bool> = Default::default();
         for (pid, yes) in votes {
             let pid = pid % size as u32;
             first_vote.entry(pid).or_insert(yes);

@@ -1,7 +1,9 @@
 //! Concurrency integration tests of the staged transport and the event
 //! overlay under real thread interleavings.
 
-use std::collections::HashMap;
+#![expect(clippy::disallowed_methods, reason = "real thread interleavings are the subject")]
+
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::thread;
 
@@ -25,7 +27,7 @@ fn staged_channel_loses_nothing_under_contention() {
     }
     drop(w);
 
-    let mut seen: HashMap<u32, Vec<u64>> = HashMap::new();
+    let mut seen: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
     for _ in 0..(writers as u64 * per_writer) {
         let (meta, payload) = r.pull().expect("all announced steps arrive");
         assert_eq!(meta.step, payload.step(), "metadata matches payload");

@@ -1,12 +1,11 @@
 //! The v2 analysis engine: file context shared by every rule.
 //!
 //! One [`FileCx`] per file carries what the rules need beyond raw
-//! tokens: the `use`-alias table (so `use std::time::Instant as Clock;
-//! Clock::now()` still reads as a wall-clock call), the escape comments
-//! (v2 grammar: `// simlint: allow(<rule>, <reason>)` — the reason is
-//! mandatory), and the function inventory with test-code attribution
-//! (`#[cfg(test)]` modules and `#[test]` functions), which the
-//! panic-path and width-math rules skip.
+//! tokens: the escape comments (v2 grammar: `// simlint: allow(<rule>,
+//! <reason>)` — the reason is mandatory). [`for_each_fn`] supplies the
+//! function inventory with test-code attribution (`#[cfg(test)]` modules
+//! and `#[test]` functions), which the panic-path and width-math rules
+//! skip.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -33,35 +32,15 @@ pub struct FnInfo<'a> {
 
 /// Per-file analysis context.
 pub struct FileCx {
-    /// Local name → full canonical path from `use` declarations.
-    pub aliases: BTreeMap<String, Vec<String>>,
     /// Escape comments by 1-based line number.
     pub escapes: BTreeMap<usize, Vec<Escape>>,
 }
 
 impl FileCx {
-    /// Builds the context from the parsed items and the raw source (the
-    /// raw text is needed because token streams drop comments).
-    pub fn build(items: &[Item], src: &str) -> FileCx {
-        let mut aliases = BTreeMap::new();
-        collect_aliases(items, &mut aliases);
-        FileCx { aliases, escapes: parse_escapes(src) }
-    }
-
-    /// The canonical (post-alias) name of a source identifier: the final
-    /// segment of the `use` path that bound it, or the identifier
-    /// itself.
-    pub fn canonical<'a>(&'a self, ident: &'a str) -> &'a str {
-        match self.aliases.get(ident).and_then(|path| path.last()) {
-            Some(seg) => seg.as_str(),
-            None => ident,
-        }
-    }
-
-    /// The canonical full path of a source identifier, if a `use`
-    /// declaration bound it.
-    pub fn canonical_path(&self, ident: &str) -> Option<&[String]> {
-        self.aliases.get(ident).map(Vec::as_slice)
+    /// Builds the context from the raw source (token streams drop
+    /// comments).
+    pub fn build(src: &str) -> FileCx {
+        FileCx { escapes: parse_escapes(src) }
     }
 
     /// Whether `rule` is escaped at `line` (same line or the line
@@ -92,29 +71,6 @@ impl FileCx {
             })
         };
         hit(line) || (line > 1 && hit(line - 1))
-    }
-}
-
-/// Flattens `use` items (recursively through modules) into the alias
-/// table.
-fn collect_aliases(items: &[Item], out: &mut BTreeMap<String, Vec<String>>) {
-    for item in items {
-        match item {
-            Item::Use(u) => {
-                for b in &u.bindings {
-                    if b.name != "*" {
-                        out.insert(b.name.clone(), b.path.clone());
-                    }
-                }
-            }
-            Item::Mod(m) => {
-                if let Some(content) = &m.content {
-                    collect_aliases(content, out);
-                }
-            }
-            Item::Impl(im) => collect_aliases(&im.items, out),
-            _ => {}
-        }
     }
 }
 

@@ -2,23 +2,12 @@
 //!
 //! The experiment harness's credibility rests on bit-identical replays:
 //! the same seed must produce the same schedule, the same figures, the
-//! same report. This linter parses every sim-path crate into an item
-//! AST (via the vendored `syn` stand-in), resolves `use` aliases, and
-//! enforces seven rule classes:
+//! same report. Which APIs a crate may call at all — wall clocks, raw
+//! threads, hash-ordered collections — is clippy configuration
+//! (`clippy.toml`, DESIGN.md §7). This linter parses every sim-path crate
+//! into an item AST (via the vendored `syn` stand-in) and enforces the
+//! structural rules clippy cannot express:
 //!
-//! * **wall-clock** — `Instant::now()` / `SystemTime` in simulation
-//!   code. Virtual time must come from the kernel clock (`SimTime`).
-//! * **unordered-iter** — hash iteration whose order flow could not be
-//!   resolved by the dataflow pass (the conservative verdict).
-//! * **order-taint** — hash iteration whose order *provably* reaches an
-//!   order-observable sink (event scheduling, exported output, trace
-//!   hashes). The dataflow pass also proves the inverse: iterations
-//!   consumed commutatively (`+=`, `insert`, `max`, collects into
-//!   ordered or re-keyed collections) pass with no escape at all.
-//! * **adhoc-rng** — RNG construction outside the kernel's seeded
-//!   `StdRng` (`thread_rng`, `from_entropy`, `rand::random`).
-//! * **thread-spawn** — `std::thread::spawn` in single-threaded sim
-//!   crates; the DES kernel is the only scheduler.
 //! * **panic-path** — `unwrap`/`expect`, `panic!`-family macros, and
 //!   hazardous indexing (literal/arithmetic indices, range slicing) in
 //!   engine hot paths. Test code is exempt; everything else must
@@ -26,36 +15,27 @@
 //! * **unchecked-width-math** — u64 multiply chains over
 //!   bytes × bandwidth/time-scale operands outside
 //!   `sim_core::widemath`'s u128 ceiling helpers.
+//! * **alloc-in-hot-path** — heap allocation in functions reachable from
+//!   the configured hot roots (see [`callgraph`]).
 //!
 //! Findings carry `file:line:column` spans. A finding is suppressed by
 //! `// simlint: allow(<rule>, <reason>)` on the same line or the line
 //! directly above — the reason is **mandatory**; reasonless escapes are
-//! ignored and the unsuppressed finding says why. Per-path rule
+//! ignored and the unsuppressed finding says why. An escape that
+//! suppresses nothing is itself a **stale-escape** finding. Per-path rule
 //! configuration lives in [`ruleset_for`].
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-pub mod baseline;
 pub mod callgraph;
 mod engine;
 mod rules;
-mod taint;
 
 /// The determinism rules simlint enforces.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
-    /// Wall-clock reads (`Instant::now`, `SystemTime`) in sim code.
-    WallClock,
-    /// Hash iteration with unresolved order flow.
-    UnorderedIter,
-    /// Hash iteration order proven to reach an order-observable sink.
-    OrderTaint,
-    /// RNG construction not derived from the experiment seed.
-    AdhocRng,
-    /// Free-running `std::thread::spawn` in single-threaded sim crates.
-    ThreadSpawn,
     /// Panicking constructs in engine hot paths.
     PanicPath,
     /// Unwidened u64 arithmetic on bytes/bandwidth/time operands.
@@ -72,11 +52,6 @@ impl Rule {
     /// The rule's name as used in diagnostics and `allow(...)` escapes.
     pub fn name(self) -> &'static str {
         match self {
-            Rule::WallClock => "wall-clock",
-            Rule::UnorderedIter => "unordered-iter",
-            Rule::OrderTaint => "order-taint",
-            Rule::AdhocRng => "adhoc-rng",
-            Rule::ThreadSpawn => "thread-spawn",
             Rule::PanicPath => "panic-path",
             Rule::UncheckedWidthMath => "unchecked-width-math",
             Rule::AllocInHotPath => "alloc-in-hot-path",
@@ -86,67 +61,25 @@ impl Rule {
 
     /// Every rule, for stats tables.
     pub fn all_rules() -> &'static [Rule] {
-        &[
-            Rule::WallClock,
-            Rule::UnorderedIter,
-            Rule::OrderTaint,
-            Rule::AdhocRng,
-            Rule::ThreadSpawn,
-            Rule::PanicPath,
-            Rule::UncheckedWidthMath,
-            Rule::AllocInHotPath,
-            Rule::StaleEscape,
-        ]
+        &[Rule::PanicPath, Rule::UncheckedWidthMath, Rule::AllocInHotPath, Rule::StaleEscape]
     }
 }
 
-/// Which rules apply to a given file.
+/// Which per-file rules apply to a given file. The workspace-pass rules
+/// ([`Rule::AllocInHotPath`], [`Rule::StaleEscape`]) apply to every
+/// file [`lint_units`] sees.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RuleSet {
-    /// Enforce [`Rule::WallClock`].
-    pub wall_clock: bool,
-    /// Enforce [`Rule::UnorderedIter`].
-    pub unordered_iter: bool,
-    /// Enforce [`Rule::OrderTaint`].
-    pub order_taint: bool,
-    /// Enforce [`Rule::AdhocRng`].
-    pub adhoc_rng: bool,
-    /// Enforce [`Rule::ThreadSpawn`].
-    pub thread_spawn: bool,
     /// Enforce [`Rule::PanicPath`].
     pub panic_path: bool,
     /// Enforce [`Rule::UncheckedWidthMath`].
     pub width_math: bool,
-    /// Enforce [`Rule::AllocInHotPath`] (workspace passes only — needs
-    /// the call graph, so [`lint_source`] never fires it).
-    pub alloc_hot: bool,
-    /// Enforce [`Rule::StaleEscape`] (workspace passes only).
-    pub stale_escape: bool,
 }
 
 impl RuleSet {
     /// Every rule on — what fixtures and the hot-path files get.
     pub fn all() -> RuleSet {
-        RuleSet {
-            wall_clock: true,
-            unordered_iter: true,
-            order_taint: true,
-            adhoc_rng: true,
-            thread_spawn: true,
-            panic_path: true,
-            width_math: true,
-            alloc_hot: true,
-            stale_escape: true,
-        }
-    }
-
-    /// The sim-path default: the four legacy rules plus the order-taint
-    /// dataflow; panic-path and width-math are opt-in per hot path. The
-    /// interprocedural v3 rules are on everywhere — allocation is only
-    /// flagged in *hot* functions, and stale escapes are hazards in any
-    /// file.
-    pub fn sim_default() -> RuleSet {
-        RuleSet { panic_path: false, width_math: false, ..RuleSet::all() }
+        RuleSet { panic_path: true, width_math: true }
     }
 }
 
@@ -183,35 +116,18 @@ impl fmt::Display for Finding {
 /// escapes. Fails with a `line:col: message` string if the file does not
 /// parse.
 pub fn lint_source(path: &Path, src: &str, rules: &RuleSet) -> Result<Vec<Finding>, String> {
-    lint_source_with(path, src, rules, &BTreeSet::new())
-}
-
-/// [`lint_source`] with extra crate-level hash-typed names (struct
-/// fields declared in sibling files of the same crate).
-pub fn lint_source_with(
-    path: &Path,
-    src: &str,
-    rules: &RuleSet,
-    extra_hash_names: &BTreeSet<String>,
-) -> Result<Vec<Finding>, String> {
     let file = syn::parse_file(src).map_err(|e| e.to_string())?;
-    let cx = engine::FileCx::build(&file.items, src);
-    let flat = engine::flatten(&file.items);
+    let cx = engine::FileCx::build(src);
     let mut fns = Vec::new();
     engine::for_each_fn(&file.items, false, &mut fns);
 
-    let mut hash_names = taint::collect_hash_names(&cx, &flat);
-    hash_names.extend(extra_hash_names.iter().cloned());
-
     let mut raw = Vec::new();
-    rules::token_rules(&cx, &flat, rules, &mut raw);
     if rules.panic_path {
         rules::panic_path(&fns, &mut raw);
     }
     if rules.width_math {
         rules::width_math(&fns, &mut raw);
     }
-    taint::analyze(&cx, &fns, &hash_names, rules, &mut raw);
 
     let rel = path.to_string_lossy().replace('\\', "/");
     let mut findings = Vec::new();
@@ -224,10 +140,9 @@ pub fn lint_source_with(
 /// The rule configuration for a workspace-relative path, or `None` if
 /// the file is out of scope.
 ///
-/// This table is the single source of truth for which crates are "sim
-/// path" (sim defaults on) versus genuinely threaded transports
-/// (threading rules off, **RNG rules always on**), and for which hot
-/// paths additionally get the panic-path and width-math classes.
+/// This table is the single source of truth for which files the
+/// workspace passes see and for which hot paths additionally get the
+/// panic-path and width-math classes.
 pub fn ruleset_for(rel: &Path) -> Option<RuleSet> {
     let p = rel.to_string_lossy().replace('\\', "/");
     if !p.ends_with(".rs") {
@@ -237,65 +152,24 @@ pub fn ruleset_for(rel: &Path) -> Option<RuleSet> {
     if !in_scope {
         return None; // vendor stubs, tools, benches, integration tests
     }
-    let mut rs = RuleSet::sim_default();
-    // datatap is the threaded two-phase transport: its tests exercise real
-    // writer/reader threads, and its timeout path owns an injected clock.
-    if p.starts_with("crates/datatap/") {
-        rs.thread_spawn = false;
-    }
-    // The EVPath overlay runs stones on real worker threads.
-    if p.starts_with("crates/evpath/") {
-        rs.thread_spawn = false;
-    }
-    // simpar is the deterministic fork/join substrate: scoped spawns are
-    // its whole purpose (and its merge order makes them safe), so the
-    // thread rule is off — but it must stay clock- and RNG-free, since
-    // every analytics kernel's determinism rests on it.
-    if p.starts_with("crates/simpar/") {
-        rs.thread_spawn = false;
-    }
-    // The threaded pipeline bridge is honest wall-clock/threads territory —
-    // but still must not construct OS-seeded RNGs.
-    if p == "crates/iocontainers/src/threaded.rs" {
-        rs.wall_clock = false;
-        rs.thread_spawn = false;
-    }
-    // The step-streaming engine is threaded-transport territory like
-    // datatap (its unit tests spawn real pausers/pullers), and its
-    // library paths carry live experiment data: a panic there loses every
-    // attached pipeline at once, so failures must be typed.
-    if p.starts_with("crates/stream/") {
-        rs.thread_spawn = false;
-    }
-    // simfault deliberately owns per-plan RNGs (message-loss sampling) and
-    // is NOT exempted from anything: its samplers derive from the plan seed
-    // via `seed_from_u64`, which is the sanctioned construction everywhere,
-    // so every rule stays on.
-
     // Engine hot paths: a panic mid-run loses the whole experiment, so
     // failure must surface as typed errors. The gate is the protocol code
     // of both transports — it came out of the stream engine and stays
     // under the rule that covered it there.
-    let panic_scope = p.starts_with("crates/sim-core/src/")
+    let panic_path = p.starts_with("crates/sim-core/src/")
         || p.starts_with("crates/simnet/src/")
         || p.starts_with("crates/stream/src/")
         || p == "crates/datatap/src/gate.rs"
         || p == "crates/iocontainers/src/pipeline.rs"
         || p == "crates/iocontainers/src/policy.rs"
         || p == "crates/iocontainers/src/protocol.rs";
-    if panic_scope {
-        rs.panic_path = true;
-    }
     // Bytes × bandwidth × time arithmetic lives here; everything must
-    // route through sim_core::widemath. widemath.rs itself is the
-    // sanctioned u128 sink and is excluded.
-    let width_scope = p.starts_with("crates/simnet/src/")
+    // route through sim_core::widemath (the sanctioned u128 sink, which
+    // is out of this scope).
+    let width_math = p.starts_with("crates/simnet/src/")
         || p == "crates/datatap/src/cost.rs"
         || p == "crates/iocontainers/src/pipeline.rs";
-    if width_scope && p != "crates/sim-core/src/widemath.rs" {
-        rs.width_math = true;
-    }
-    Some(rs)
+    Some(RuleSet { panic_path, width_math })
 }
 
 /// Recursively collects the `.rs` files under `root` that are in scope,
@@ -329,8 +203,8 @@ fn collect_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     Ok(out)
 }
 
-/// The crate-grouping key of a workspace-relative path (hash-typed field
-/// names are shared crate-wide for the taint pass).
+/// The crate-grouping key of a workspace-relative path (the call graph
+/// resolves `crate::` paths within it).
 fn crate_key(rel: &str) -> String {
     let mut parts = rel.split('/');
     match parts.next() {
@@ -352,7 +226,7 @@ pub struct SourceUnit {
 
 /// How much one reasoned escape comment earned: the number of findings
 /// it suppressed across every pass. Zero means the escape is stale (and
-/// reported, when the file's ruleset has `stale_escape` on).
+/// reported as a [`Rule::StaleEscape`] finding).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EscapeUse {
     /// File owning the escape comment.
@@ -394,26 +268,13 @@ pub struct Report {
 
 /// Lints a set of files as one workspace: per-file rules plus the
 /// interprocedural v3 passes (call-graph reachability, alloc-in-hot-path,
-/// hot-chain context on panic/order findings, stale-escape). This is the
-/// engine behind [`lint_workspace`]; fixtures drive it directly with
-/// in-memory multi-file sets.
+/// hot-chain context on panic findings, stale-escape). This is the
+/// engine behind [`lint_workspace_report`]; fixtures drive it directly
+/// with in-memory multi-file sets.
 pub fn lint_units(units: &[SourceUnit]) -> Result<Report, String> {
     let mut files = Vec::new();
     for u in units {
         files.push(syn::parse_file(&u.src).map_err(|e| format!("{}: {e}", u.rel))?);
-    }
-    let cxs: Vec<engine::FileCx> =
-        units.iter().zip(&files).map(|(u, f)| engine::FileCx::build(&f.items, &u.src)).collect();
-
-    // Crate-wide hash-typed names (fields declared in one file, iterated
-    // in another).
-    let mut crate_hash: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-    for ((u, f), cx) in units.iter().zip(&files).zip(&cxs) {
-        let flat = engine::flatten(&f.items);
-        crate_hash
-            .entry(crate_key(&u.rel))
-            .or_default()
-            .extend(taint::collect_hash_names(cx, &flat));
     }
 
     // The workspace call graph and the hot set: built-in roots plus any
@@ -449,29 +310,20 @@ pub fn lint_units(units: &[SourceUnit]) -> Result<Report, String> {
     };
 
     for (i, u) in units.iter().enumerate() {
-        let file = &files[i];
-        let cx = &cxs[i];
-        let flat = engine::flatten(&file.items);
+        let cx = engine::FileCx::build(&u.src);
         let mut fns = Vec::new();
-        engine::for_each_fn(&file.items, false, &mut fns);
-
-        let mut hash_names = taint::collect_hash_names(cx, &flat);
-        if let Some(extra) = crate_hash.get(&crate_key(&u.rel)) {
-            hash_names.extend(extra.iter().cloned());
-        }
+        engine::for_each_fn(&files[i].items, false, &mut fns);
 
         let mut raw = Vec::new();
-        rules::token_rules(cx, &flat, &u.rules, &mut raw);
         if u.rules.panic_path {
             rules::panic_path(&fns, &mut raw);
         }
         if u.rules.width_math {
             rules::width_math(&fns, &mut raw);
         }
-        taint::analyze(cx, &fns, &hash_names, &u.rules, &mut raw);
 
-        // Hot-chain context: a panic/order finding inside a hot function
-        // names the call chain that reaches it.
+        // Hot-chain context: a panic finding inside a hot function names
+        // the call chain that reaches it.
         let hot_fn_at = |line: usize| -> Option<usize> {
             hot_by_unit[i]
                 .iter()
@@ -483,7 +335,7 @@ pub fn lint_units(units: &[SourceUnit]) -> Result<Report, String> {
                 .max_by_key(|&ix| graph.nodes[ix].start_line)
         };
         for (span, rule, message) in &mut raw {
-            if matches!(rule, Rule::PanicPath | Rule::OrderTaint) {
+            if *rule == Rule::PanicPath {
                 if let Some(ix) = hot_fn_at(span.line) {
                     let info = &hot[&ix];
                     message.push_str(&format!(
@@ -496,28 +348,26 @@ pub fn lint_units(units: &[SourceUnit]) -> Result<Report, String> {
         }
 
         // The alloc-in-hot-path rule over this unit's hot functions.
-        if u.rules.alloc_hot {
-            for &ix in &hot_by_unit[i] {
-                let node = &graph.nodes[ix];
-                let Some(f) = fns.iter().find(|f| {
-                    f.item.ident.span.line == node.start_line && f.item.ident.text == node.name
-                }) else {
-                    continue;
-                };
-                let Some(body) = &f.item.body else { continue };
-                let info = &hot[&ix];
-                let suffix = format!(
-                    " (hot path: {}, root {})",
-                    callgraph::chain_display(&graph, &info.chain),
-                    info.root
-                );
-                let mut sites = Vec::new();
-                rules::alloc_sites(&body.stream, &mut sites);
-                raw.extend(sites.into_iter().map(|(span, rule, mut msg)| {
-                    msg.push_str(&suffix);
-                    (span, rule, msg)
-                }));
-            }
+        for &ix in &hot_by_unit[i] {
+            let node = &graph.nodes[ix];
+            let Some(f) = fns.iter().find(|f| {
+                f.item.ident.span.line == node.start_line && f.item.ident.text == node.name
+            }) else {
+                continue;
+            };
+            let Some(body) = &f.item.body else { continue };
+            let info = &hot[&ix];
+            let suffix = format!(
+                " (hot path: {}, root {})",
+                callgraph::chain_display(&graph, &info.chain),
+                info.root
+            );
+            let mut sites = Vec::new();
+            rules::alloc_sites(&body.stream, &mut sites);
+            raw.extend(sites.into_iter().map(|(span, rule, mut msg)| {
+                msg.push_str(&suffix);
+                (span, rule, msg)
+            }));
         }
 
         raw.sort_by_key(|(s, r, _)| (s.line, s.column, *r));
@@ -525,7 +375,7 @@ pub fn lint_units(units: &[SourceUnit]) -> Result<Report, String> {
 
         let mut unit_findings = Vec::new();
         let mut consumed = BTreeMap::new();
-        rules::finalize_tracked(&u.rel, cx, raw, &mut unit_findings, &mut consumed);
+        rules::finalize_tracked(&u.rel, &cx, raw, &mut unit_findings, &mut consumed);
 
         // Stale escapes: reasoned allow(...) comments that suppressed
         // nothing in any pass.
@@ -541,7 +391,7 @@ pub fn lint_units(units: &[SourceUnit]) -> Result<Report, String> {
                     rule: e.rule.clone(),
                     consumed: used,
                 });
-                if used == 0 && u.rules.stale_escape {
+                if used == 0 {
                     unit_findings.push(Finding {
                         file: u.rel.clone(),
                         line: *line,
@@ -568,14 +418,9 @@ pub fn lint_units(units: &[SourceUnit]) -> Result<Report, String> {
     Ok(Report { findings, stats })
 }
 
-/// Lints every in-scope file under the workspace `root`. Paths in the
-/// returned findings are workspace-relative. Parse failures become
-/// `InvalidData` IO errors naming the file.
-pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
-    lint_workspace_report(root).map(|r| r.findings)
-}
-
-/// [`lint_workspace`] with the run's [`Stats`] attached.
+/// Lints every in-scope file under the workspace `root`, with the run's
+/// [`Stats`]. Paths in the findings are workspace-relative. Parse
+/// failures become `InvalidData` IO errors naming the file.
 pub fn lint_workspace_report(root: &Path) -> std::io::Result<Report> {
     let mut units = Vec::new();
     for abs in collect_files(root)? {
@@ -597,49 +442,34 @@ mod tests {
     }
 
     #[test]
-    fn instant_now_is_flagged_with_span() {
-        let src = "fn f() {\n    let t = std::time::Instant::now();\n}\n";
+    fn unwrap_is_flagged_with_span() {
+        let src = "fn f(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n";
         let f = lint(src);
         assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, Rule::WallClock);
+        assert_eq!(f[0].rule, Rule::PanicPath);
         assert_eq!(f[0].line, 2);
         assert!(f[0].column > 1, "span carries a real column");
         assert!(f[0].to_string().starts_with("test.rs:2:"));
-        assert!(f[0].to_string().contains("[wall-clock]"));
-    }
-
-    #[test]
-    fn aliased_instant_is_still_wall_clock() {
-        let src = "use std::time::Instant as Clock;\nfn f() { let t = Clock::now(); }\n";
-        let f = lint(src);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, Rule::WallClock);
-        assert_eq!(f[0].line, 2);
-    }
-
-    #[test]
-    fn launch_model_instant_variant_is_not_wall_clock() {
-        let src = "fn f() { let m = LaunchModel::Instant; g(Instant); }";
-        assert!(lint(src).is_empty());
+        assert!(f[0].to_string().contains("[panic-path]"));
     }
 
     #[test]
     fn comments_and_strings_are_not_code() {
-        let src = "// Instant::now() in a comment\nfn f() { let s = \"thread_rng()\"; }\n";
+        let src = "// x.unwrap() in a comment\nfn f() { let s = \"v[0].unwrap()\"; }\n";
         assert!(lint(src).is_empty());
     }
 
     #[test]
     fn allow_with_reason_suppresses_same_and_next_line() {
-        let src = "fn f() {\n// simlint: allow(adhoc-rng, fixture: sanctioned in this test)\n\
-                   let r = thread_rng();\n\
-                   let q = thread_rng(); // simlint: allow(adhoc-rng, fixture: ditto)\n}\n";
+        let src = "fn f() {\n// simlint: allow(panic-path, fixture: sanctioned in this test)\n\
+                   let r = g().unwrap();\n\
+                   let q = g().unwrap(); // simlint: allow(panic-path, fixture: ditto)\n}\n";
         assert!(lint(src).is_empty());
     }
 
     #[test]
     fn reasonless_allow_no_longer_suppresses() {
-        let src = "fn f() {\n// simlint: allow(adhoc-rng)\nlet r = thread_rng();\n}\n";
+        let src = "fn f() {\n// simlint: allow(panic-path)\nlet r = g().unwrap();\n}\n";
         let f = lint(src);
         assert_eq!(f.len(), 1, "legacy escapes without a reason are dead");
         assert!(f[0].message.contains("missing a reason"));
@@ -647,88 +477,9 @@ mod tests {
 
     #[test]
     fn allow_of_other_rule_does_not_suppress() {
-        let src = "fn f() {\n// simlint: allow(wall-clock, wrong rule)\nlet r = thread_rng();\n}\n";
+        let src =
+            "fn f() {\n// simlint: allow(alloc-in-hot-path, wrong rule)\nlet r = g().unwrap();\n}\n";
         assert_eq!(lint(src).len(), 1);
-    }
-
-    #[test]
-    fn hashmap_iteration_is_flagged_lookup_is_not() {
-        let src = "fn f(m: HashMap<u32, u32>) {\n    let _ = m.get(&1);\n    \
-                   for (k, v) in &m {\n        use_it(k, v);\n    }\n}\n";
-        let f = lint(src);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, Rule::UnorderedIter);
-        assert_eq!(f[0].line, 3);
-    }
-
-    #[test]
-    fn let_bound_hashset_drain_is_flagged() {
-        let src = "fn f() {\n    let mut s = HashSet::new();\n    s.insert(1);\n    \
-                   for x in s.drain() { g(x); }\n}\n";
-        let f = lint(src);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].line, 4);
-    }
-
-    #[test]
-    fn struct_field_hash_iteration_is_flagged() {
-        let src = "struct S { per_stone: HashMap<u64, u64> }\nimpl S {\n    fn g(&self) { \
-                   for k in self.per_stone.keys() { h(k); } }\n}\n";
-        let f = lint(src);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, Rule::UnorderedIter);
-    }
-
-    #[test]
-    fn btreemap_is_clean() {
-        let src = "fn f(m: BTreeMap<u32, u32>) { for (k, v) in &m { g(k, v); } }";
-        assert!(lint(src).is_empty());
-    }
-
-    #[test]
-    fn commutative_reduction_passes_without_escape() {
-        let src = "fn f(m: HashMap<u32, u64>) {\n    let mut total = 0u64;\n    \
-                   for (_, v) in &m {\n        total += v;\n    }\n    let _ = total;\n}\n";
-        assert!(lint(src).is_empty(), "order-insensitive reduction is clean");
-    }
-
-    #[test]
-    fn sum_chain_passes_without_escape() {
-        let src = "fn f(m: HashMap<u32, u64>) -> u64 { m.values().sum() }";
-        assert!(lint(src).is_empty());
-    }
-
-    #[test]
-    fn collect_into_btree_passes_without_escape() {
-        let src = "fn f(m: HashMap<u32, u64>) {\n    \
-                   let v: BTreeSet<u32> = m.keys().copied().collect();\n    emit(v);\n}\n";
-        assert!(lint(src).is_empty());
-    }
-
-    #[test]
-    fn sorted_vec_then_sink_passes() {
-        let src = "fn f(m: HashMap<u32, u64>, out: &mut Vec<u32>) {\n    \
-                   let mut v: Vec<u32> = m.keys().copied().collect();\n    v.sort();\n    \
-                   out.extend(v);\n}\n";
-        assert!(lint(src).is_empty(), "sort launders iteration order");
-    }
-
-    #[test]
-    fn iteration_reaching_scheduler_is_order_taint() {
-        let src = "fn f(m: HashMap<u32, u64>, sim: &mut Sim) {\n    \
-                   for k in m.keys() {\n        sim.schedule(k);\n    }\n}\n";
-        let f = lint(src);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, Rule::OrderTaint);
-        assert!(f[0].message.contains("schedule"));
-    }
-
-    #[test]
-    fn unwrap_in_engine_fn_is_panic_path() {
-        let src = "fn f(x: Option<u32>) -> u32 { x.unwrap() }";
-        let f = lint(src);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, Rule::PanicPath);
     }
 
     #[test]
@@ -780,37 +531,6 @@ mod tests {
     }
 
     #[test]
-    fn thread_spawn_respects_ruleset() {
-        let src = "fn f() { std::thread::spawn(|| {}); }";
-        assert_eq!(lint(src).len(), 1);
-        let mut rs = RuleSet::all();
-        rs.thread_spawn = false;
-        assert!(lint_source(Path::new("t.rs"), src, &rs).expect("parses").is_empty());
-    }
-
-    #[test]
-    fn aliased_spawn_is_flagged() {
-        let src = "use std::thread::spawn;\nfn f() { spawn(|| {}); }\n";
-        let f = lint(src);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, Rule::ThreadSpawn);
-    }
-
-    #[test]
-    fn threaded_bridge_keeps_rng_rules() {
-        let rs = ruleset_for(Path::new("crates/iocontainers/src/threaded.rs")).unwrap();
-        assert!(!rs.wall_clock && !rs.thread_spawn);
-        assert!(rs.adhoc_rng && rs.unordered_iter && rs.order_taint);
-    }
-
-    #[test]
-    fn simpar_is_thread_exempt_but_rng_checked() {
-        let rs = ruleset_for(Path::new("crates/simpar/src/lib.rs")).unwrap();
-        assert!(!rs.thread_spawn);
-        assert!(rs.wall_clock && rs.adhoc_rng && rs.unordered_iter);
-    }
-
-    #[test]
     fn hot_paths_get_panic_and_width_rules() {
         let pipeline = ruleset_for(Path::new("crates/iocontainers/src/pipeline.rs")).unwrap();
         assert!(pipeline.panic_path && pipeline.width_math);
@@ -829,34 +549,28 @@ mod tests {
     }
 
     #[test]
-    fn stream_engine_is_panic_checked_and_thread_exempt() {
+    fn stream_engine_and_gate_are_panic_checked() {
         let engine = ruleset_for(Path::new("crates/stream/src/engine.rs")).unwrap();
         assert!(engine.panic_path, "library paths carry live data: failures must be typed");
-        assert!(!engine.thread_spawn, "the engine is threaded-transport territory");
-        assert!(engine.wall_clock && engine.adhoc_rng, "clock and RNG discipline stay on");
         // The integration tests assert with unwrap/expect freely: only
         // src/ gets the panic class.
         let tests = ruleset_for(Path::new("crates/stream/tests/stream_integration.rs")).unwrap();
-        assert!(!tests.panic_path && !tests.thread_spawn);
+        assert!(!tests.panic_path);
         // The engine's pause/drain, close/fail and wait protocol moved into
         // datatap's gate: it did not leave the panic class by moving, and
         // the rest of datatap did not enter it.
         let gate = ruleset_for(Path::new("crates/datatap/src/gate.rs")).unwrap();
-        assert!(gate.panic_path && !gate.thread_spawn && gate.wall_clock && gate.adhoc_rng);
+        assert!(gate.panic_path);
         let channel = ruleset_for(Path::new("crates/datatap/src/channel.rs")).unwrap();
         assert!(!channel.panic_path);
     }
 
     #[test]
-    fn indexed_event_queue_keeps_every_determinism_rule_on() {
+    fn indexed_event_queue_keeps_the_panic_rule() {
         // The event-kernel speed campaign rewrote the queue for
         // throughput; this pin guarantees the hot path did not buy its
-        // speed by slipping out of lint scope. Every determinism rule and
-        // the panic-path rule must stay on for queue.rs, exactly like the
-        // kernel that drives it.
+        // speed by slipping out of lint scope.
         let rs = ruleset_for(Path::new("crates/sim-core/src/queue.rs")).unwrap();
-        assert!(rs.wall_clock && rs.adhoc_rng && rs.unordered_iter && rs.thread_spawn);
-        assert!(rs.order_taint);
         assert!(rs.panic_path, "queue sifts/indexing must surface errors, not panic");
         assert!(!rs.width_math, "time ranks are plain u64s, not byte-bandwidth math");
     }
@@ -865,9 +579,8 @@ mod tests {
     fn fns_after_a_restricted_visibility_struct_stay_visible_to_panic_path() {
         // queue.rs opens with `pub(crate) struct EventQueue<T> { … }`; a
         // parser regression once swallowed every item after such a struct
-        // into one token run, leaving per-fn rules (panic-path, width-math,
-        // order-taint) blind to the whole hot path while token-linear
-        // rules still fired. Pin the shape end-to-end.
+        // into one token run, leaving the per-fn rules blind to the whole
+        // hot path. Pin the shape end-to-end.
         let src = "pub(crate) struct Q<T> {\n    slots: Vec<T>,\n}\n\
                    impl<T> Q<T> {\n    fn pop_front(&mut self) -> u32 { self.slots.first().unwrap() }\n}\n";
         let f = lint(src);
@@ -884,54 +597,8 @@ mod tests {
     }
 
     #[test]
-    fn simfault_is_fully_in_scope_and_seeded_rng_passes() {
-        // The fault-injection crate gets every sim rule: its loss samplers
-        // are only sanctioned because they derive from the plan seed.
-        let rs = ruleset_for(Path::new("crates/simfault/src/lib.rs")).unwrap();
-        assert!(rs.wall_clock && rs.adhoc_rng && rs.unordered_iter && rs.thread_spawn);
-        let seeded = "fn f(seed: u64) { let rng = StdRng::seed_from_u64(seed ^ 0xFA17); }";
-        assert!(
-            lint_source(Path::new("crates/simfault/src/lib.rs"), seeded, &rs)
-                .expect("parses")
-                .is_empty(),
-            "seed_from_u64 is the sanctioned construction"
-        );
-        let adhoc = "fn f() { let rng = rand::thread_rng(); }";
-        assert_eq!(
-            lint_source(Path::new("crates/simfault/src/lib.rs"), adhoc, &rs)
-                .expect("parses")
-                .iter()
-                .filter(|f| f.rule == Rule::AdhocRng)
-                .count(),
-            1,
-            "OS-seeded construction stays flagged even in simfault"
-        );
-    }
-
-    #[test]
     fn raw_strings_and_lifetimes_lex_cleanly() {
-        let src = "fn f<'a>(x: &'a str) -> &'a str { let _ = r#\"thread_rng()\"#; x }";
+        let src = "fn f<'a>(x: &'a str) -> &'a str { let _ = r#\"x.unwrap()\"#; x }";
         assert!(lint(src).is_empty());
-    }
-
-    #[test]
-    fn json_roundtrip_and_baseline_diff() {
-        let f1 = Finding {
-            file: "crates/x/src/lib.rs".to_string(),
-            line: 10,
-            column: 5,
-            rule: Rule::WallClock,
-            message: "msg \"quoted\"".to_string(),
-        };
-        let f2 = Finding { line: 99, rule: Rule::PanicPath, ..f1.clone() };
-        let json = baseline::render_json(&[f1.clone(), f2.clone()]);
-        let keys = baseline::parse_baseline(&json).expect("own artifact parses");
-        assert_eq!(keys.len(), 2);
-        // Line drift does not resurrect a baselined finding…
-        let drifted = Finding { line: 11, ..f1.clone() };
-        assert!(baseline::new_findings(&[drifted], &keys).is_empty());
-        // …but a genuinely new finding still fails.
-        let fresh = Finding { message: "different".to_string(), ..f1 };
-        assert_eq!(baseline::new_findings(&[fresh], &keys).len(), 1);
     }
 }

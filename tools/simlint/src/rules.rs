@@ -1,106 +1,14 @@
-//! Token-level rules: the four legacy determinism rules (alias-aware on
-//! the AST engine) plus the v2 `panic-path` and `unchecked-width-math`
-//! classes. The `order-taint`/`unordered-iter` dataflow lives in
-//! [`crate::taint`].
+//! Token-level rules: `panic-path` and `unchecked-width-math` per
+//! function, and the `alloc-in-hot-path` scan the call-graph pass runs
+//! over each hot function.
 
 use syn::{Delimiter, Span, TokenTree};
 
 use crate::engine::{self, FileCx, FnInfo};
-use crate::{Finding, Rule, RuleSet};
+use crate::{Finding, Rule};
 
 /// Raw finding before file/escape bookkeeping: (span, rule, message).
 pub type RawFinding = (Span, Rule, String);
-
-/// Runs the wall-clock / adhoc-rng / thread-spawn rules over the whole
-/// flattened file (matching v1 scope: test code included — tests that
-/// read wall clocks or spawn raw threads are still hazards for the
-/// deterministic suite).
-pub fn token_rules(cx: &FileCx, flat: &[TokenTree], rules: &RuleSet, out: &mut Vec<RawFinding>) {
-    engine::visit_streams(flat, &mut |stream| {
-        for (i, t) in stream.iter().enumerate() {
-            let TokenTree::Ident(id) = t else { continue };
-            let name = id.text.as_str();
-            let canon = cx.canonical(name);
-
-            if rules.wall_clock {
-                // `Instant::now()` (aliased or not). A bare `Instant`
-                // ident (enum variants, docs) is not flagged.
-                if canon == "Instant"
-                    && engine::is_path_sep(stream, i + 1)
-                    && engine::is_ident(stream.get(i + 3), "now")
-                {
-                    out.push((
-                        id.span,
-                        Rule::WallClock,
-                        "Instant::now() reads the wall clock; use the simulation clock".to_string(),
-                    ));
-                }
-                // Any `SystemTime` mention (UNIX_EPOCH maths included).
-                if canon == "SystemTime" {
-                    out.push((
-                        id.span,
-                        Rule::WallClock,
-                        "SystemTime reads the wall clock; use the simulation clock".to_string(),
-                    ));
-                }
-            }
-
-            if rules.adhoc_rng {
-                if canon == "thread_rng" || canon == "from_entropy" {
-                    out.push((
-                        id.span,
-                        Rule::AdhocRng,
-                        format!("{name} draws OS entropy; derive RNGs from the run seed"),
-                    ));
-                }
-                // `rand::random` / `random` aliased from rand.
-                if name == "rand"
-                    && engine::is_path_sep(stream, i + 1)
-                    && engine::is_ident(stream.get(i + 3), "random")
-                {
-                    out.push((
-                        id.span,
-                        Rule::AdhocRng,
-                        "rand::random draws OS entropy; derive RNGs from the run seed".to_string(),
-                    ));
-                }
-                if cx.canonical_path(name).is_some_and(|p| p == ["rand", "random"]) {
-                    out.push((
-                        id.span,
-                        Rule::AdhocRng,
-                        "rand::random draws OS entropy; derive RNGs from the run seed".to_string(),
-                    ));
-                }
-            }
-
-            if rules.thread_spawn {
-                // `thread::spawn` / `std::thread::spawn`.
-                if name == "thread"
-                    && engine::is_path_sep(stream, i + 1)
-                    && engine::is_ident(stream.get(i + 3), "spawn")
-                {
-                    out.push((
-                        id.span,
-                        Rule::ThreadSpawn,
-                        "raw thread::spawn bypasses the deterministic scheduler".to_string(),
-                    ));
-                }
-                // `use std::thread::spawn;` then a bare `spawn(...)` call.
-                if engine::paren_at(stream, i + 1).is_some()
-                    && cx
-                        .canonical_path(name)
-                        .is_some_and(|p| p.ends_with(&["thread".to_string(), "spawn".to_string()]))
-                {
-                    out.push((
-                        id.span,
-                        Rule::ThreadSpawn,
-                        "raw thread::spawn bypasses the deterministic scheduler".to_string(),
-                    ));
-                }
-            }
-        }
-    });
-}
 
 /// Identifiers that are Rust keywords possibly preceding a bracket group
 /// in non-index position (`&mut [T]`, `as` casts, control flow).

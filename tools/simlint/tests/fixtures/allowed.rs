@@ -1,21 +1,13 @@
 // Fixture: the same hazards as elsewhere, every one explicitly allowed
 // with the v2 escape grammar — `allow(<rule>, <reason>)`.
-use std::time::Instant;
-
-fn wall_clock_bridge() -> Instant {
-    // This is the one sanctioned wall-clock read: the process-epoch base.
-    // simlint: allow(wall-clock, process-epoch base for telemetry export)
-    Instant::now()
-}
-
-fn seeded_escape() -> u64 {
-    let mut rng = rand::thread_rng(); // simlint: allow(adhoc-rng, fixture: exercising the escape)
-    rng.gen()
-}
 
 fn checked_by_construction(v: &[u32]) -> u32 {
     // simlint: allow(panic-path, index 0 guaranteed by the caller's invariant)
     v[0]
+}
+
+fn same_line(x: Option<u32>) -> u32 {
+    x.unwrap() // simlint: allow(panic-path, fixture: exercising a same-line escape)
 }
 
 fn widened_elsewhere(bytes: u64, bandwidth_bps: u64) -> u64 {

@@ -1,13 +1,13 @@
 // Fixture: a reasoned escape that still earns its keep next to one that
-// no longer suppresses anything (never compiled; scanned as text).
-use std::time::Instant;
+// no longer suppresses anything (never compiled; scanned as text). The
+// file is linted under every rule, panic-path included.
 
-fn timed() -> Instant {
-    // simlint: allow(wall-clock, fixture: models a wall deadline)
-    Instant::now()
+fn checked(v: Option<u64>) -> u64 {
+    // simlint: allow(panic-path, fixture: the caller checked the option)
+    v.unwrap()
 }
 
 fn stale() -> u64 {
-    // simlint: allow(wall-clock, this once suppressed a now-deleted clock read)
+    // simlint: allow(panic-path, this once suppressed a now-deleted unwrap)
     42
 }

@@ -57,12 +57,12 @@ fn stale_escape_fixture_reports_only_the_dead_escape() {
         report.findings.iter().filter(|f| f.rule == Rule::StaleEscape).collect();
     assert_eq!(stale.len(), 1, "{:?}", report.findings);
     assert_eq!(stale[0].line, 11, "{stale:?}");
-    assert!(stale[0].message.contains("allow(wall-clock)"), "{}", stale[0].message);
+    assert!(stale[0].message.contains("allow(panic-path)"), "{}", stale[0].message);
 
     // The live escape next door consumed its finding and is not reported.
     let live = report.stats.escapes.iter().find(|e| e.line == 6).expect("live escape tracked");
     assert_eq!(live.consumed, 1);
-    assert!(report.findings.iter().all(|f| f.rule != Rule::WallClock), "{:?}", report.findings);
+    assert!(report.findings.iter().all(|f| f.rule != Rule::PanicPath), "{:?}", report.findings);
 }
 
 #[test]
@@ -84,8 +84,8 @@ fn panic_chain_crosses_files_with_hot_context() {
 
 /// Regression pin for DESIGN.md §7: the real workspace lints clean, and
 /// every reasoned escape suppresses exactly what it did when it was
-/// written — the two v2 originals at one finding each, plus the
-/// hot-path escapes added with the v3 rule. An entry appearing here
+/// written — the panic-path original at one finding, plus the hot-path
+/// escapes added with the v3 rule. An entry appearing here
 /// with `consumed: 0` would instead surface as a stale-escape finding.
 #[test]
 fn workspace_is_clean_and_escapes_all_earn_their_keep() {
@@ -101,7 +101,6 @@ fn workspace_is_clean_and_escapes_all_earn_their_keep() {
         .collect();
     got.sort();
     let want: Vec<(String, String, usize)> = [
-        ("crates/datatap/src/clock.rs", "wall-clock", 1),
         ("crates/evpath/src/overlay.rs", "alloc-in-hot-path", 1),
         ("crates/evpath/src/overlay.rs", "alloc-in-hot-path", 1),
         ("crates/sim-core/src/kernel.rs", "alloc-in-hot-path", 1),
@@ -114,7 +113,6 @@ fn workspace_is_clean_and_escapes_all_earn_their_keep() {
         ("crates/simtel/src/telemetry.rs", "alloc-in-hot-path", 2),
         ("crates/simtel/src/telemetry.rs", "alloc-in-hot-path", 2),
         ("crates/simtel/src/telemetry.rs", "alloc-in-hot-path", 2),
-        ("crates/stream/tests/stream_integration.rs", "wall-clock", 1),
     ]
     .into_iter()
     .map(|(f, r, n)| (f.to_string(), r.to_string(), n))

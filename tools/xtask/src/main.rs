@@ -4,13 +4,7 @@
 //! Tasks:
 //! * `lint` — run the simlint determinism/robustness pass over the
 //!   sim-path crates; exits nonzero if any hazard is found.
-//!   * `--format json` emits the versioned findings artifact instead of
-//!     the human one-liner-per-finding form.
-//!   * `--baseline FILE` fails only on findings NOT covered by the
-//!     baseline artifact (line-insensitive multiset match), so CI gates
-//!     on *new* findings while a cleanup is in flight.
-//!   * `--write-baseline FILE` records the current findings as the new
-//!     baseline and exits 0.
+//!   * `--stats` first prints the call-graph and escape summary.
 //! * `invariance` — run the schedule-invariance checker (the runtime race
 //!   detector) on the managed-pipeline experiment, via its in-crate tests.
 //! * `api` — snapshot the `iocontainers` facade (every `pub mod` / `pub
@@ -29,45 +23,6 @@ fn workspace_root() -> PathBuf {
         .nth(2)
         .expect("xtask lives two levels under the workspace root")
         .to_path_buf()
-}
-
-#[derive(Default)]
-struct LintOpts {
-    json: bool,
-    stats: bool,
-    baseline: Option<PathBuf>,
-    write_baseline: Option<PathBuf>,
-}
-
-fn parse_lint_opts(args: &[String]) -> Result<LintOpts, String> {
-    let mut opts = LintOpts::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--format" => match it.next().map(String::as_str) {
-                Some("json") => opts.json = true,
-                Some("text") => opts.json = false,
-                other => return Err(format!("--format expects json|text, got {other:?}")),
-            },
-            "--stats" => opts.stats = true,
-            "--baseline" => {
-                let path = it.next().ok_or("--baseline expects a file path")?;
-                opts.baseline = Some(PathBuf::from(path));
-            }
-            "--write-baseline" => {
-                let path = it.next().ok_or("--write-baseline expects a file path")?;
-                opts.write_baseline = Some(PathBuf::from(path));
-            }
-            other => return Err(format!("unknown lint flag {other:?}")),
-        }
-    }
-    if opts.baseline.is_some() && opts.write_baseline.is_some() {
-        return Err("--baseline and --write-baseline are mutually exclusive".into());
-    }
-    if opts.stats && opts.json {
-        return Err("--stats prints the human summary; drop --format json".into());
-    }
-    Ok(opts)
 }
 
 /// One-screen lint coverage summary (`cargo xtask lint --stats`).
@@ -95,10 +50,11 @@ fn print_stats(stats: &simlint::Stats) {
 }
 
 fn lint(args: &[String]) -> ExitCode {
-    let opts = match parse_lint_opts(args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("xtask lint: {e}");
+    let stats = match args {
+        [] => false,
+        [flag] if flag == "--stats" => true,
+        _ => {
+            eprintln!("usage: cargo xtask lint [--stats]");
             return ExitCode::from(2);
         }
     };
@@ -110,66 +66,21 @@ fn lint(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if opts.stats {
+    if stats {
         print_stats(&report.stats);
     }
     let findings = report.findings;
-
-    if let Some(path) = &opts.write_baseline {
-        let artifact = simlint::baseline::render_json(&findings);
-        if let Err(e) = std::fs::write(path, artifact) {
-            eprintln!("xtask lint: cannot write baseline {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "simlint: baseline of {} finding(s) written to {}",
-            findings.len(),
-            path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    // With a baseline, only findings outside it gate the exit code; the
-    // report (text or JSON) shows just the gating set so CI logs point
-    // straight at what regressed.
-    let gating = match &opts.baseline {
-        Some(path) => {
-            let src = match std::fs::read_to_string(path) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("xtask lint: cannot read baseline {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-            };
-            let keys = match simlint::baseline::parse_baseline(&src) {
-                Ok(k) => k,
-                Err(e) => {
-                    eprintln!("xtask lint: bad baseline {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-            };
-            simlint::baseline::new_findings(&findings, &keys)
-        }
-        None => findings,
-    };
-
-    if opts.json {
-        print!("{}", simlint::baseline::render_json(&gating));
-    } else if gating.is_empty() {
+    if findings.is_empty() {
         println!("simlint: clean (no hazards in sim-path crates)");
-    } else {
-        for f in &gating {
-            println!("{f}");
-        }
-    }
-    if gating.is_empty() {
         return ExitCode::SUCCESS;
+    }
+    for f in &findings {
+        println!("{f}");
     }
     eprintln!(
-        "simlint: {} {}hazard{} found",
-        gating.len(),
-        if opts.baseline.is_some() { "new " } else { "" },
-        if gating.len() == 1 { "" } else { "s" }
+        "simlint: {} hazard{} found",
+        findings.len(),
+        if findings.len() == 1 { "" } else { "s" }
     );
     ExitCode::FAILURE
 }
@@ -318,7 +229,7 @@ fn main() -> ExitCode {
         Some("api") => api(&args[1..]),
         _ => {
             eprintln!(
-                "usage: cargo xtask <lint [--format json] [--stats] [--baseline FILE | --write-baseline FILE] | invariance | api [--write-baseline]>"
+                "usage: cargo xtask <lint [--stats] | invariance | api [--write-baseline]>"
             );
             ExitCode::from(2)
         }
